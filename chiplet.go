@@ -154,10 +154,6 @@ type SimOptions struct {
 	// ThresholdC is only used for reporting; simulations always run to
 	// convergence.
 	ThresholdC float64
-	// Preconditioner selects the thermal CG preconditioner, "ic0" or "mg"
-	// (empty: thermal's default, IC(0)). The two agree to the solver
-	// tolerance; "mg" converges in far fewer iterations on large grids.
-	Preconditioner string
 }
 
 // SimResult is a one-shot simulation outcome.
@@ -214,9 +210,6 @@ func PeakTemperature(pl Placement, benchmark string, freqMHz float64, p int, opt
 	tc := thermal.DefaultConfig()
 	if opts != nil && opts.GridN > 0 {
 		tc.Nx, tc.Ny = opts.GridN, opts.GridN
-	}
-	if opts != nil && opts.Preconditioner != "" {
-		tc.Preconditioner = opts.Preconditioner
 	}
 	stack, err := floorplan.BuildStack(pl)
 	if err != nil {
@@ -296,9 +289,6 @@ func SprintTime(pl Placement, benchmark string, thresholdC, maxSeconds float64, 
 	tc := thermal.DefaultConfig()
 	if opts != nil && opts.GridN > 0 {
 		tc.Nx, tc.Ny = opts.GridN, opts.GridN
-	}
-	if opts != nil && opts.Preconditioner != "" {
-		tc.Preconditioner = opts.Preconditioner
 	}
 	stack, err := floorplan.BuildStack(pl)
 	if err != nil {

@@ -8,7 +8,7 @@
 //
 //	chipletd [-addr :8080] [-workers N] [-kernel-threads N]
 //	         [-search-workers N] [-queue N] [-cache N] [-timeout 60s]
-//	         [-grid-max 128] [-spatial] [-precond mg] [-warm-start]
+//	         [-grid-max 128] [-spatial]
 //	         [-tco-node 7nm]
 //	         [-config file.json]
 //	         [-log-format text|json] [-log-level info] [-pprof]
@@ -84,8 +84,6 @@ func main() {
 		gridMax    = flag.Int("grid-max", 0, "largest thermal grid a request may ask for (default 128)")
 		tcoNode    = flag.String("tco-node", "", "default tech node for /v1/cost/tco requests that do not set tech_node (45nm, 28nm, 16nm, 7nm)")
 		spatial    = flag.Bool("spatial", false, "default org searches to the spatial surrogate tier (requests may still opt out)")
-		precond    = flag.String("precond", "mg", "thermal CG preconditioner: mg (multigrid) or ic0; results agree to the solver tolerance")
-		warmStart  = flag.Bool("warm-start", true, "seed escalated solves from retained neighbor temperature fields (cross-evaluation warm starts)")
 		configPath = flag.String("config", "", "JSON config file with an optional \"server\" section")
 		logFormat  = flag.String("log-format", "", "log encoding: text or json (default text)")
 		logLevel   = flag.String("log-level", "", "minimum log level: debug, info, warn, error (default info)")
@@ -108,7 +106,6 @@ func main() {
 
 	opts := serve.DefaultOptions()
 	format, level := "", ""
-	warmFromConfig := false
 	if *configPath != "" {
 		sc, err := config.LoadServerFile(*configPath)
 		if err != nil {
@@ -153,13 +150,6 @@ func main() {
 		if sc.AuditRing != nil {
 			opts.AuditRingSize = *sc.AuditRing
 		}
-		if sc.Preconditioner != "" {
-			opts.Preconditioner = sc.Preconditioner
-		}
-		if sc.WarmStart != nil {
-			opts.WarmStart = *sc.WarmStart
-			warmFromConfig = true
-		}
 		if len(sc.Peers) > 0 {
 			opts.Peers = sc.Peers
 		}
@@ -203,21 +193,6 @@ func main() {
 			fatal(err)
 		}
 		opts.TCONode = *tcoNode
-	}
-	// -precond and -warm-start default to the accelerated path (mg + warm
-	// starts; results agree with ic0/cold to the solver tolerance). An
-	// explicit flag beats the config file; an absent flag defers to a
-	// config-file setting before falling back to the flag default.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["precond"] || opts.Preconditioner == "" {
-		opts.Preconditioner = *precond
-	}
-	if p := opts.Preconditioner; p != "ic0" && p != "mg" {
-		fatal(fmt.Errorf("unknown preconditioner %q (want ic0 or mg)", p))
-	}
-	if explicit["warm-start"] || !warmFromConfig {
-		opts.WarmStart = *warmStart
 	}
 	if *pprofOn {
 		opts.EnablePprof = true

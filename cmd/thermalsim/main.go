@@ -39,7 +39,6 @@ func main() {
 		pgm     = flag.String("pgm", "", "write the temperature field as a PGM image to this path")
 		csv     = flag.String("fieldcsv", "", "write the temperature field as CSV to this path")
 		surr    = flag.Bool("surrogate", false, "also run the spatial surrogate and print predicted vs. simulated peak")
-		precond = flag.String("precond", "mg", "thermal CG preconditioner: mg (multigrid) or ic0 (results agree to the solver tolerance)")
 	)
 	flag.Parse()
 
@@ -66,10 +65,7 @@ func main() {
 		fatal(err)
 	}
 
-	if *precond != "ic0" && *precond != "mg" {
-		fatal(fmt.Errorf("unknown preconditioner %q (want ic0 or mg)", *precond))
-	}
-	res, err := chiplet.PeakTemperature(pl, *bench, *freq, *cores, &chiplet.SimOptions{GridN: *grid, Preconditioner: *precond})
+	res, err := chiplet.PeakTemperature(pl, *bench, *freq, *cores, &chiplet.SimOptions{GridN: *grid})
 	if err != nil {
 		fatal(err)
 	}

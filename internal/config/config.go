@@ -69,18 +69,6 @@ type File struct {
 	// (0/absent: the package default; 1: serial). Purely a wall-clock knob:
 	// the kernel is bit-deterministic across thread counts.
 	KernelThreads *int `json:"kernel_threads,omitempty"`
-	// Preconditioner selects the CG preconditioner, "ic0" or "mg"
-	// (absent/empty: "ic0"). Like kernel_threads it is a wall-clock knob —
-	// both preconditioners converge to the same tolerance, so it does not
-	// fork cache or engine identity — but unlike kernel_threads the results
-	// agree to the solver tolerance (~1e-6 °C) rather than bit-exactly.
-	Preconditioner *string `json:"preconditioner,omitempty"`
-	// WarmStart enables cross-evaluation CG warm starts (absent: off);
-	// WarmStartCache bounds the retained temperature fields (absent/0: 32).
-	// See org.Config for the seeding discipline and the tolerance-bounded
-	// purity trade.
-	WarmStart      *bool `json:"warm_start,omitempty"`
-	WarmStartCache *int  `json:"warm_start_cache,omitempty"`
 
 	Cost    *cost.Params        `json:"cost,omitempty"`
 	Leakage *power.LeakageModel `json:"leakage,omitempty"`
@@ -138,12 +126,6 @@ type Server struct {
 	// AuditRing bounds the search convergence audit trail per request and
 	// the /debug/search history (default 256; negative disables auditing).
 	AuditRing *int `json:"audit_ring,omitempty"`
-	// Preconditioner selects the thermal CG preconditioner for the daemon,
-	// "ic0" or "mg" (default: the chipletd flag default, mg). WarmStart
-	// toggles cross-evaluation CG warm starts (default: on). Both are
-	// tolerance-equivalent accelerators excluded from cache identity.
-	Preconditioner string `json:"preconditioner,omitempty"`
-	WarmStart      *bool  `json:"warm_start,omitempty"`
 	// Peers lists the other chipletd nodes of a sharded deployment by base
 	// URL; SelfURL is this node's own URL as the peers address it (both
 	// required together — see serve.Options). PeerTimeoutMS bounds one memo
@@ -239,15 +221,6 @@ func (f *File) ToConfig() (org.Config, error) {
 	if f.KernelThreads != nil {
 		cfg.Thermal.KernelThreads = *f.KernelThreads
 	}
-	if f.Preconditioner != nil {
-		cfg.Thermal.Preconditioner = *f.Preconditioner
-	}
-	if f.WarmStart != nil {
-		cfg.WarmStart = *f.WarmStart
-	}
-	if f.WarmStartCache != nil {
-		cfg.WarmStartCache = *f.WarmStartCache
-	}
 	setF(&cfg.Thermal.AmbientC, f.AmbientC)
 	setF(&cfg.Thermal.HeatTransferCoeff, f.HeatTransferCoeff)
 	setF(&cfg.Thermal.BoardHeatTransferCoeff, f.BoardHeatTransfer)
@@ -311,9 +284,6 @@ func Save(w io.Writer, cfg org.Config) error {
 		HeatTransferCoeff: &cfg.Thermal.HeatTransferCoeff,
 		BoardHeatTransfer: &cfg.Thermal.BoardHeatTransferCoeff,
 		KernelThreads:     &cfg.Thermal.KernelThreads,
-		Preconditioner:    &cfg.Thermal.Preconditioner,
-		WarmStart:         &cfg.WarmStart,
-		WarmStartCache:    &cfg.WarmStartCache,
 		Cost:              &cfg.CostParams,
 		Leakage:           &cfg.Leakage,
 	}

@@ -70,14 +70,6 @@ type Engine struct {
 	calibrations    atomic.Int64
 	calWorstErrBits atomic.Uint64
 
-	// warmSeeds counts full simulations whose first CG solve was seeded
-	// from a retained neighbor field (warm != nil and a candidate matched).
-	warmSeeds atomic.Int64
-
-	// warm retains recent converged temperature fields for cross-evaluation
-	// CG warm starts (nil unless Config.WarmStart; see warm.go).
-	warm *warmCache
-
 	// models retains assembled thermal models by placement geometry so the
 	// many evaluations of one placement share its assembly (always on:
 	// reuse is bit-exact; see modelcache.go). modelReuses counts sims that
@@ -92,12 +84,6 @@ type Engine struct {
 }
 
 const (
-	// defaultWarmStartCache is the retained-field count when Config.WarmStart
-	// is set without an explicit Config.WarmStartCache. A full 64x64 field is
-	// 8 sheets x 4096 cells x 8 bytes = 256 KiB, so the default ring tops out
-	// at 8 MiB.
-	defaultWarmStartCache = 32
-
 	engineShards = 64
 	// engineShardCap bounds each shard's completed-entry count so a
 	// long-lived process-wide engine cannot grow without bound; on overflow
@@ -152,6 +138,21 @@ type SimRecord struct {
 	MeshPowerW        float64
 	LeakageIterations int
 	CGIterations      int
+	// Preconditioner names the CG preconditioner the simulation's model
+	// ran (thermal.Model.PreconditionerName).
+	Preconditioner string
+}
+
+// newSimRecord condenses a leakage-loop result on model m into its record.
+func newSimRecord(res *power.SimResult, nocW float64, m *thermal.Model) SimRecord {
+	return SimRecord{
+		PeakC:             res.PeakC,
+		TotalPowerW:       res.TotalPowerW,
+		MeshPowerW:        nocW,
+		LeakageIterations: res.Iterations,
+		CGIterations:      res.CGIterations,
+		Preconditioner:    m.PreconditionerName(),
+	}
 }
 
 // simEntry is a singleflight slot: the first goroutine to claim a key
@@ -232,9 +233,6 @@ type EngineStats struct {
 	ScalarHits    int64 `json:"scalar_hits"`
 	SpatialHits   int64 `json:"spatial_hits"`
 	CGIterations  int64 `json:"cg_iterations"`
-	// WarmSeeds counts full simulations whose first CG solve started from a
-	// retained neighbor field rather than ambient (0 unless WarmStart).
-	WarmSeeds int64 `json:"warm_seeds"`
 	// ModelReuses counts full simulations that reused a cached thermal
 	// model instead of reassembling it (see modelcache.go).
 	ModelReuses int64 `json:"model_reuses"`
@@ -276,13 +274,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	fp := physFingerprint(cfg)
 	e := &Engine{phys: phys, fp: fp, fpHash: hashFingerprint(fp), spatials: make(map[benchKey]*calEntry)}
-	if cfg.WarmStart {
-		capacity := cfg.WarmStartCache
-		if capacity == 0 {
-			capacity = defaultWarmStartCache
-		}
-		e.warm = newWarmCache(capacity)
-	}
 	e.models = newModelCache(defaultModelCache)
 	for i := range e.shards {
 		e.shards[i].sims = make(map[engineKey]*simEntry)
@@ -295,16 +286,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 // physFingerprint canonicalizes the physics substrate of a configuration.
 // KernelThreads is excluded: it is a wall-clock knob with bit-identical
 // results (thermal's determinism contract), so it must not fork engine
-// identity. Preconditioner is excluded by the same rule, one notch weaker:
-// the multigrid and IC(0) solves converge to the same tolerance (verify's
-// differential/mg-ic0 check pins them ≤1e-6 °C apart node-for-node), so
-// the knob changes wall-clock, not answers, and must not fork the memo.
-// Config.WarmStart/WarmStartCache are likewise absent (they are not part
-// of the physics substrate at all).
+// identity.
 func physFingerprint(cfg Config) string {
 	tc := cfg.Thermal
 	tc.KernelThreads = 0
-	tc.Preconditioner = ""
 	return fmt.Sprintf("%#v|%#v|%#v|%#v|%#v", tc, cfg.Leakage, cfg.SimOpts, cfg.Link, cfg.Router)
 }
 
@@ -326,7 +311,6 @@ func (e *Engine) Stats() EngineStats {
 		ScalarHits:    scalar,
 		SpatialHits:   spatial,
 		CGIterations:  e.cgIterations.Load(),
-		WarmSeeds:     e.warmSeeds.Load(),
 		ModelReuses:   e.modelReuses.Load(),
 		Calibrations:  e.calibrations.Load(),
 		CalWorstErrC:  math.Float64frombits(e.calWorstErrBits.Load()),
@@ -589,33 +573,14 @@ func (e *Engine) runSim(ctx context.Context, b perf.Benchmark, pl floorplan.Plac
 		NoCW:     nocW,
 		Leakage:  e.phys.Leakage,
 	}
-	// Cross-evaluation warm start: seed the first solve of the leakage loop
-	// from the nearest retained same-operator field (see warm.go). The seed
-	// only changes how fast CG converges, never what it converges to.
-	warmSource := "ambient"
-	seed := e.warm.nearest(k)
-	if seed != nil {
-		warmSource = "neighbor"
-		e.warmSeeds.Add(1)
-	}
-	esp.SetAttr("warm_source", warmSource)
-	res, err := power.SimulateSeededCtx(ctx, model, cores, w, e.phys.SimOpts, seed)
+	res, err := power.SimulateCtx(ctx, model, cores, w, e.phys.SimOpts)
 	if err != nil {
 		return SimRecord{}, err
 	}
-	if e.warm != nil && res.Thermal != nil {
-		e.warm.put(k, res.Thermal.T)
-		// The field has been copied into the ring; hand the result's buffer
-		// back to the model's solution pool.
-		res.Thermal.Recycle()
-	}
-	return SimRecord{
-		PeakC:             res.PeakC,
-		TotalPowerW:       res.TotalPowerW,
-		MeshPowerW:        nocW,
-		LeakageIterations: res.Iterations,
-		CGIterations:      res.CGIterations,
-	}, nil
+	// The record keeps no field: hand the converged one back to the
+	// model's solution pool.
+	res.Thermal.Recycle()
+	return newSimRecord(res, nocW, model), nil
 }
 
 // estimate solves the scalar leakage fixed point: peak temperature and

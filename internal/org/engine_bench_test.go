@@ -7,7 +7,6 @@ import (
 	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/perf"
 	"chiplet25d/internal/power"
-	"chiplet25d/internal/thermal"
 )
 
 // benchSearchConfig is the multi-start search benchmark workload: the fast
@@ -92,24 +91,15 @@ func BenchmarkMultiStartSearchWarmShared(b *testing.B) {
 	}
 }
 
-// benchmarkMultiStartSearchMG runs the cold full optimization at a 32x32
-// thermal grid — at the multigrid crossover, unlike the 16x16 fast grid the
-// other search benchmarks use, where V-cycle overhead and the hierarchy
-// setup cost (~14 ms per model at 32x32 vs ~2 ms for IC(0) alone) outweigh
-// the iteration savings. The IC(0) variant is the baseline; the MG+warm
-// variant is the full preconditioner + warm-start configuration, and their
-// ratio is BENCH_5's mg_warm_search_speedup. warm-seeds/op reports how many
-// full simulations started from a retained neighbor field; expect the ratio
-// near 1.0 — see EXPERIMENTS.md on why the win is per cold solve, not per
-// search, at this scale.
-func benchmarkMultiStartSearchMG(b *testing.B, mgWarm bool) {
+// BenchmarkMultiStartSearchSerial32 runs the cold full optimization at a
+// 32x32 thermal grid, the smallest grid NewModel preconditions with
+// multigrid, unlike the 16x16 fast grid (IC(0)) the other search benchmarks
+// use. model-reuses/op reports how many full simulations skipped model
+// assembly.
+func BenchmarkMultiStartSearchSerial32(b *testing.B) {
 	cfg := benchSearchConfig(b, 1)
 	cfg.Thermal.Nx, cfg.Thermal.Ny = 32, 32
-	if mgWarm {
-		cfg.Thermal.Preconditioner = thermal.PrecondMG
-		cfg.WarmStart = true
-	}
-	var seeds, reuses int64
+	var reuses int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := NewSearcher(cfg)
@@ -119,37 +109,21 @@ func benchmarkMultiStartSearchMG(b *testing.B, mgWarm bool) {
 		if _, err := s.Optimize(); err != nil {
 			b.Fatal(err)
 		}
-		st := s.Engine().Stats()
-		seeds += st.WarmSeeds
-		reuses += st.ModelReuses
+		reuses += s.Engine().Stats().ModelReuses
 	}
 	b.ReportMetric(float64(reuses)/float64(b.N), "model-reuses/op")
-	if mgWarm {
-		b.ReportMetric(float64(seeds)/float64(b.N), "warm-seeds/op")
-	}
 }
 
-func BenchmarkMultiStartSearchSerial32(b *testing.B) { benchmarkMultiStartSearchMG(b, false) }
-func BenchmarkMultiStartSearchMGWarm32(b *testing.B) { benchmarkMultiStartSearchMG(b, true) }
-
-// benchmarkFullFidelitySearchMG is the same comparison in the full-fidelity
+// BenchmarkSearchFullFidelity32 is the same search in the full-fidelity
 // regime (surrogate ladder off, every evaluation simulates) — the paper's
 // original workflow, whose CPU cost the paper counts in hours. Here each
 // placement is simulated at many operating points, so the retained models
-// and neighbor fields actually recur: this is the regime the
-// preconditioner + warm-start work targets. With the ladder on (the
-// benchmarks above) each placement simulates roughly once and surrogates
-// absorb the rest, leaving multigrid's hierarchy setup nothing to amortize
-// against.
-func benchmarkFullFidelitySearchMG(b *testing.B, mgWarm bool) {
+// actually recur and the multigrid hierarchy setup amortizes.
+func BenchmarkSearchFullFidelity32(b *testing.B) {
 	cfg := benchSearchConfig(b, 1)
 	cfg.Thermal.Nx, cfg.Thermal.Ny = 32, 32
 	cfg.SurrogateMarginC = -1 // full fidelity: every evaluation simulates
-	if mgWarm {
-		cfg.Thermal.Preconditioner = thermal.PrecondMG
-		cfg.WarmStart = true
-	}
-	var seeds, reuses, sims int64
+	var reuses, sims int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := NewSearcher(cfg)
@@ -160,19 +134,12 @@ func benchmarkFullFidelitySearchMG(b *testing.B, mgWarm bool) {
 			b.Fatal(err)
 		}
 		st := s.Engine().Stats()
-		seeds += st.WarmSeeds
 		reuses += st.ModelReuses
 		sims += st.ThermalSims
 	}
 	b.ReportMetric(float64(sims)/float64(b.N), "full-sims/op")
 	b.ReportMetric(float64(reuses)/float64(b.N), "model-reuses/op")
-	if mgWarm {
-		b.ReportMetric(float64(seeds)/float64(b.N), "warm-seeds/op")
-	}
 }
-
-func BenchmarkSearchFullFidelity32(b *testing.B)       { benchmarkFullFidelitySearchMG(b, false) }
-func BenchmarkSearchFullFidelity32MGWarm(b *testing.B) { benchmarkFullFidelitySearchMG(b, true) }
 
 // BenchmarkEngineLookupHit measures a memoized engine lookup — the cost a
 // deduplicated evaluation pays instead of a full simulation.
@@ -199,9 +166,9 @@ func BenchmarkEngineLookupHit(b *testing.B) {
 // benchmarkSearchFidelity runs a cold full optimization per iteration with
 // the given fidelity policy and reports the full-simulation count and the
 // spatial-tier hit ratio per run. The pair of results (spatial on vs
-// surrogates off) is what scripts/bench.sh turns into the
-// full-CG-solve-reduction figure; DoE calibration solves are counted
-// against the spatial run, so the ratio is honest end to end.
+// surrogates off) gives the full-CG-solve-reduction figure; DoE
+// calibration solves are counted against the spatial run, so the ratio is
+// honest end to end.
 func benchmarkSearchFidelity(b *testing.B, spatial bool) {
 	cfg := benchSearchConfig(b, 1)
 	cfg.SpatialSurrogate = spatial

@@ -113,7 +113,6 @@ func (c *EngineCache) Stats() EngineStats {
 		out.ScalarHits += s.ScalarHits
 		out.SpatialHits += s.SpatialHits
 		out.CGIterations += s.CGIterations
-		out.WarmSeeds += s.WarmSeeds
 		out.ModelReuses += s.ModelReuses
 		out.Calibrations += s.Calibrations
 		if s.CalWorstErrC > out.CalWorstErrC {

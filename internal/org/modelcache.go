@@ -23,8 +23,7 @@ import (
 const defaultModelCache = 16
 
 // modelCache is a bounded ring of assembled thermal models keyed by exact
-// placement geometry. Unlike the warm-start field cache (warm.go), reuse
-// here is bit-exact, not merely tolerance-bounded: a Model is immutable
+// placement geometry. Reuse is bit-exact: a Model is immutable
 // after assembly and fully determined by (stack, thermal config), its
 // pooled workspaces isolate concurrent solves (the TestConcurrentSolves
 // contract), and a freshly assembled model produces the identical factors

@@ -6,6 +6,16 @@ import (
 	"chiplet25d/internal/floorplan"
 )
 
+// testPlacement builds one valid 4-chiplet placement for engine-level tests.
+func testPlacement(t testing.TB) floorplan.Placement {
+	t.Helper()
+	pl, err := floorplan.PaperOrg(4, 0, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
 // TestModelCacheReuse pins the model cache's contract: same geometry key
 // returns the identical *thermal.Model, a different key assembles fresh,
 // and the ring evicts the oldest entry at capacity.

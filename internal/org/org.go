@@ -147,22 +147,6 @@ type Config struct {
 	// threshold it falls; the verify drift tier pins winner parity against
 	// the full-fidelity search on the golden corpus. Off by default.
 	SpatialSurrogate bool
-	// WarmStart enables cross-evaluation CG warm starts: the engine retains
-	// the converged temperature fields of recent full simulations (a bounded
-	// ring of WarmStartCache fields) and seeds the first solve of an
-	// escalated simulation from the nearest retained field that shares its
-	// thermal operator — the same placement geometry at another DVFS point
-	// or active-core count. The seed changes how fast CG converges, never
-	// what it converges to, but it does perturb the exact floating-point
-	// path: with WarmStart on, evaluation values match the cold search to
-	// the solver tolerance (~1e-6 °C) instead of bit-exactly. Off by
-	// default so the bit-exact parallel≡serial contract holds unless
-	// explicitly traded for speed; verify's differential/warm-start check
-	// pins winner parity on the golden corpus with it on.
-	WarmStart bool
-	// WarmStartCache bounds the retained temperature fields when WarmStart
-	// is set (0 = the default of 32; each 64x64 field is 256 KiB).
-	WarmStartCache int
 	// SpatialMarginC is the spatial tier's escalation margin: a spatial
 	// prediction decides an evaluation only when it lands farther than
 	// max(SpatialMarginC, calibration worst-case error) from the
@@ -251,9 +235,6 @@ func (c Config) Validate() error {
 	}
 	if c.ParallelWorkers < 0 {
 		return fmt.Errorf("org: parallel workers must be non-negative, got %d", c.ParallelWorkers)
-	}
-	if c.WarmStartCache < 0 {
-		return fmt.Errorf("org: warm-start cache size must be non-negative, got %d", c.WarmStartCache)
 	}
 	if err := c.Thermal.Validate(); err != nil {
 		return err

@@ -57,11 +57,5 @@ func ReferenceSimulate(cfg Config, b perf.Benchmark, pl floorplan.Placement, op 
 	if err != nil {
 		return SimRecord{}, err
 	}
-	return SimRecord{
-		PeakC:             res.PeakC,
-		TotalPowerW:       res.TotalPowerW,
-		MeshPowerW:        nocW,
-		LeakageIterations: res.Iterations,
-		CGIterations:      res.CGIterations,
-	}, nil
+	return newSimRecord(res, nocW, model), nil
 }

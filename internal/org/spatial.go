@@ -329,13 +329,7 @@ func (e *Engine) runDoESim(ctx context.Context, b perf.Benchmark, pt doePoint, s
 		smp.PowersW[c.Chiplet] += power.CorePower(b.RefCoreW, op, res.CoreTemps[id], e.phys.Leakage) + nocPerCore
 	}
 
-	rec := SimRecord{
-		PeakC:             res.PeakC,
-		TotalPowerW:       res.TotalPowerW,
-		MeshPowerW:        nocW,
-		LeakageIterations: res.Iterations,
-		CGIterations:      res.CGIterations,
-	}
+	rec := newSimRecord(res, nocW, model)
 	e.insertSim(k, rec)
 	st.Sims++
 	st.CGIterations += rec.CGIterations

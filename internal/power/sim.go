@@ -102,18 +102,6 @@ func Simulate(m *thermal.Model, cores []floorplan.Core, w Workload, opts SimOpti
 // between leakage-loop iterations and inside each CG solve, so abandoned
 // requests stop burning CPU promptly.
 func SimulateCtx(ctx context.Context, m *thermal.Model, cores []floorplan.Core, w Workload, opts SimOptions) (*SimResult, error) {
-	return SimulateSeededCtx(ctx, m, cores, w, opts, nil)
-}
-
-// SimulateSeededCtx is SimulateCtx with a temperature-field seed for the
-// first thermal solve of the leakage loop. Within one simulation the loop
-// already warm-starts each solve from the previous iteration's field; seed
-// extends that reuse across simulations — the org engine passes the
-// converged field of a nearby search point so even the first solve starts
-// close to the fixed point. A nil or invalid seed (wrong length, NaN) falls
-// back to the ambient cold start; the seed never changes the converged
-// answer, only how fast CG reaches it.
-func SimulateSeededCtx(ctx context.Context, m *thermal.Model, cores []floorplan.Core, w Workload, opts SimOptions, seed []float64) (*SimResult, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -162,13 +150,7 @@ func SimulateSeededCtx(ctx context.Context, m *thermal.Model, cores []floorplan.
 			grid.RasterizeAdd(pmap, c.Rect, p)
 			totalW += p
 		}
-		var next *thermal.Result
-		var err error
-		if res == nil && seed != nil {
-			next, err = m.SolveSeededCtx(ctx, pmap, seed)
-		} else {
-			next, err = m.SolveWarmCtx(ctx, pmap, res)
-		}
+		next, err := m.SolveWarmCtx(ctx, pmap, res)
 		if err != nil {
 			return nil, err
 		}

@@ -514,7 +514,7 @@ func TestBatchShedsUnderFullQueue(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			body := strings.Replace(solveBody, `"cores": 128`, fmt.Sprintf(`"cores": %d`, 32+32*i), 1)
-			body = strings.Replace(body, `"grid_n": 8`, `"grid_n": 48`, 1)
+			body = strings.Replace(body, `"grid_n": 8`, `"grid_n": 64`, 1)
 			postJSON(t, h, "/v1/thermal/solve", body)
 		}(i)
 	}

@@ -21,7 +21,6 @@ import (
 	"chiplet25d/internal/perf"
 	"chiplet25d/internal/power"
 	"chiplet25d/internal/serve/pool"
-	"chiplet25d/internal/thermal"
 )
 
 // statusClientClosed is the nginx-convention code for "client went away
@@ -171,6 +170,9 @@ type SolveResponse struct {
 	CacheKey          string         `json:"cache_key"`
 	ElapsedMS         float64        `json:"elapsed_ms"`
 	Trace             *obs.TraceJSON `json:"trace,omitempty"`
+	// precond is the preconditioner the solve's model ran, for the
+	// chipletd_cg_iterations label; it is not encoded.
+	precond string
 }
 
 // solveSpec is a fully validated solve request.
@@ -185,13 +187,6 @@ type solveSpec struct {
 	// excluded from cacheKey: thread count never changes the bits of the
 	// result (thermal's determinism contract), only the wall clock.
 	kthreads int
-	// precond and warmStart are the server's solver-acceleration settings
-	// (Options.Preconditioner/WarmStart). Excluded from cacheKey by the
-	// same rule as kthreads, one notch weaker: they change how fast a
-	// solve converges, and the result only to within the CG tolerance
-	// (~1e-6 °C), never which answer a request gets.
-	precond   string
-	warmStart bool
 }
 
 func (req *SolveRequest) resolve(maxGridN int) (*solveSpec, error) {
@@ -230,15 +225,6 @@ func (req *SolveRequest) resolve(maxGridN int) (*solveSpec, error) {
 // the resolution at which two geometries are thermally identical.
 func hm(v float64) int { return int(math.Round(v * 2)) }
 
-// precondLabel canonicalizes a preconditioner setting for the
-// chipletd_cg_iterations metric label (empty means thermal's default).
-func precondLabel(p string) string {
-	if p == "" {
-		return thermal.PrecondIC0
-	}
-	return p
-}
-
 // cacheKey is the content address of the solve: every input that changes
 // the converged result participates; formatting or field order never does.
 func (sp *solveSpec) cacheKey() string {
@@ -256,8 +242,6 @@ func (sp *solveSpec) engineConfig() org.Config {
 	cfg := org.DefaultConfig(sp.bench)
 	cfg.Thermal.Nx, cfg.Thermal.Ny = sp.gridN, sp.gridN
 	cfg.Thermal.KernelThreads = sp.kthreads
-	cfg.Thermal.Preconditioner = sp.precond
-	cfg.WarmStart = sp.warmStart
 	return cfg
 }
 
@@ -283,6 +267,7 @@ func (sp *solveSpec) run(ctx context.Context, s *Server) (*SolveResponse, org.Ev
 		MeshPowerW:        rec.MeshPowerW,
 		LeakageIterations: rec.LeakageIterations,
 		CGIterations:      rec.CGIterations,
+		precond:           rec.Preconditioner,
 	}, st, nil
 }
 
@@ -295,8 +280,6 @@ func (s *Server) resolveSolve(req *SolveRequest) (*solveSpec, string, error) {
 		return nil, "", err
 	}
 	sp.kthreads = s.opts.KernelThreads
-	sp.precond = s.opts.Preconditioner
-	sp.warmStart = s.opts.WarmStart
 	return sp, sp.cacheKey(), nil
 }
 
@@ -310,7 +293,7 @@ func (s *Server) solveComputer(sp *solveSpec) func(context.Context) (any, error)
 		if err == nil && st.Sims > 0 {
 			s.thermalSims.Add(float64(st.Sims))
 			s.cgIterations.Add(float64(st.CGIterations))
-			s.cgIterHist.With(precondLabel(sp.precond)).Observe(float64(res.CGIterations))
+			s.cgIterHist.With(res.precond).Observe(float64(res.CGIterations))
 			s.leakIterHist.Observe(float64(res.LeakageIterations))
 		}
 		return res, err
@@ -447,17 +430,10 @@ func searchKey(cfg org.Config, exhaustive bool) (string, error) {
 	// with bit-identical results (thermal's and org's determinism
 	// contracts), so they must not fork the content-addressed identity of a
 	// search: a serial and a parallel run of the same search share one cache
-	// entry. The preconditioner and warm-start knobs are excluded by the
-	// same rule, one notch weaker: multigrid and IC(0) solves, seeded or
-	// cold, converge to the same tolerance (~1e-6 °C; verify's differential
-	// checks pin it), so they change how fast a search runs, not which
-	// winner it finds.
+	// entry.
 	cfg.Thermal.KernelThreads = 0
 	cfg.SearchWorkers = 0
 	cfg.ParallelWorkers = 0
-	cfg.Thermal.Preconditioner = ""
-	cfg.WarmStart = false
-	cfg.WarmStartCache = 0
 	var buf bytes.Buffer
 	if err := config.Save(&buf, cfg); err != nil {
 		return "", err
@@ -490,14 +466,6 @@ func (s *Server) resolveSearch(req *SearchRequest) (org.Config, string, error) {
 		s.logger.Warn("capping per-request search workers at the CPU count",
 			"requested", cfg.SearchWorkers, "num_cpu", ncpu)
 		cfg.SearchWorkers = ncpu
-	}
-	if req.File.Preconditioner == nil && s.opts.Preconditioner != "" {
-		// Requests that do not choose a preconditioner inherit the daemon's
-		// (tolerance-equivalent; see searchKey).
-		cfg.Thermal.Preconditioner = s.opts.Preconditioner
-	}
-	if req.File.WarmStart == nil && s.opts.WarmStart {
-		cfg.WarmStart = true
 	}
 	if req.File.SpatialSurrogate == nil && s.opts.SpatialSurrogate {
 		// Requests that do not choose a fidelity policy inherit the daemon's

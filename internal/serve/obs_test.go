@@ -241,6 +241,29 @@ func TestObservabilityMetrics(t *testing.T) {
 	}
 }
 
+// TestCGIterationsPrecondLabel checks the chipletd_cg_iterations label
+// names the preconditioner the solve's model ran: IC(0) on a grid-8 solve,
+// multigrid on a grid-64 one.
+func TestCGIterationsPrecondLabel(t *testing.T) {
+	s := testServer(t, nil)
+	h := s.Handler()
+	for _, grid := range []string{`"grid_n": 8`, `"grid_n": 64`} {
+		body := strings.Replace(solveBody, `"grid_n": 8`, grid, 1)
+		if rec := postJSON(t, h, "/v1/thermal/solve", body); rec.Code != http.StatusOK {
+			t.Fatalf("%s solve = %d (body %s)", grid, rec.Code, rec.Body)
+		}
+	}
+	expo := scrape(t, h)
+	for _, want := range []string{
+		`chipletd_cg_iterations_count{precond="ic0"} 1`,
+		`chipletd_cg_iterations_count{precond="mg"} 1`,
+	} {
+		if !strings.Contains(expo, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 // TestPprofGating verifies /debug/pprof/ is 404 by default and served when
 // enabled.
 func TestPprofGating(t *testing.T) {

@@ -81,20 +81,6 @@ type Options struct {
 	// out. Worker count never changes search results (org's determinism
 	// contract), so cached and fresh responses always agree.
 	SearchWorkers int
-	// Preconditioner selects the thermal CG preconditioner for solves and
-	// for org-search requests that do not set their own ("ic0" or "mg";
-	// empty keeps thermal's default, IC(0)). Like KernelThreads it is
-	// excluded from cache identity: both preconditioners converge to the
-	// same tolerance (~1e-6 °C node-for-node, pinned by verify's
-	// differential/mg-ic0 check), so the knob changes wall-clock, not
-	// answers.
-	Preconditioner string
-	// WarmStart enables cross-evaluation CG warm starts in the process-wide
-	// evaluation engines (and for org-search requests that do not set their
-	// own warm_start). Also excluded from cache identity: a seed changes
-	// how fast CG converges, never what it converges to beyond the solver
-	// tolerance.
-	WarmStart bool
 	// SpatialSurrogate enables the spatial compact-model fidelity tier by
 	// default for org-search requests that do not set their own
 	// spatial_surrogate. Escalation is conservative (org's threshold-side
@@ -388,9 +374,6 @@ func New(opts Options) *Server {
 	s.reg.CounterFunc("chipletd_eval_spatial_hits_total",
 		"Engine evaluations decided by the spatial compact-model surrogate.",
 		func() float64 { return float64(s.engines.Stats().SpatialHits) })
-	s.reg.CounterFunc("chipletd_eval_warm_seeds_total",
-		"Full simulations seeded from a retained neighbor temperature field.",
-		func() float64 { return float64(s.engines.Stats().WarmSeeds) })
 	s.reg.CounterFunc("chipletd_eval_model_reuses_total",
 		"Thermal model assemblies skipped by the per-engine model cache.",
 		func() float64 { return float64(s.engines.Stats().ModelReuses) })

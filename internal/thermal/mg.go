@@ -65,13 +65,14 @@ import (
 // cycle is a symmetric positive-definite operator, a valid CG
 // preconditioner.
 
+// Preconditioner names, as Model.PreconditionerName reports them. NewModel
+// picks one from the grid size (see mgMinGridEdge).
 const (
-	// PrecondIC0 selects the zero-fill incomplete Cholesky preconditioner
-	// (the package default; the empty string means the same).
+	// PrecondIC0 is the zero-fill incomplete Cholesky preconditioner.
 	PrecondIC0 = "ic0"
-	// PrecondMG selects the geometric multigrid V-cycle preconditioner.
-	// Models whose grid cannot be coarsened (an edge below 2*mgMinEdge
-	// cells) fall back to IC(0); see Model.PreconditionerName.
+	// PrecondMG is the geometric multigrid V-cycle preconditioner. Models
+	// whose grid cannot be coarsened (an edge below 2*mgMinEdge cells)
+	// keep IC(0).
 	PrecondMG = "mg"
 )
 

@@ -5,49 +5,45 @@ import (
 	"testing"
 )
 
+// forced pins a test model's preconditioner through the verify hook.
+func forced(t testing.TB, m *Model, name string) *Model {
+	t.Helper()
+	if err := m.ForcePreconditionerForVerify(name); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // mgModel builds the same uniform-grid test model as gridModel but with the
-// multigrid preconditioner selected.
+// multigrid preconditioner forced, whatever the grid size.
 func mgModel(t testing.TB, nx, kernelThreads int) (*Model, []float64) {
 	t.Helper()
 	m, pmap := gridModel(t, nx, kernelThreads)
-	cfg := m.Config()
-	cfg.Preconditioner = PrecondMG
-	mg, err := NewModel(m.Stack(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mg, pmap
+	return forced(t, m, PrecondMG), pmap
 }
 
-// TestMGSelectedAndFallback pins the selection rules: multigrid engages on
-// coarsenable grids, falls back to IC(0) on grids too small to halve, and
-// the default config keeps IC(0).
+// TestMGSelectedAndFallback pins the selection rule: IC(0) below
+// mgMinGridEdge, multigrid from it up, and a forced multigrid that the
+// coarsener declines on a grid too small to halve.
 func TestMGSelectedAndFallback(t *testing.T) {
-	m, _ := mgModel(t, 16, 1)
-	if got := m.PreconditionerName(); got != PrecondMG {
-		t.Errorf("16x16 with Preconditioner=mg: using %q, want %q", got, PrecondMG)
-	}
-	m, _ = mgModel(t, 4, 1)
-	if got := m.PreconditionerName(); got != PrecondIC0 {
-		t.Errorf("4x4 with Preconditioner=mg: using %q, want fallback %q", got, PrecondIC0)
-	}
-	m, _ = gridModel(t, 16, 1)
-	if got := m.PreconditionerName(); got != PrecondIC0 {
-		t.Errorf("default config: using %q, want %q", got, PrecondIC0)
-	}
-}
-
-func TestConfigValidatePreconditioner(t *testing.T) {
-	cfg := DefaultConfig()
-	for _, ok := range []string{"", PrecondIC0, PrecondMG} {
-		cfg.Preconditioner = ok
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Preconditioner=%q: unexpected error %v", ok, err)
+	for nx, want := range map[int]string{8: PrecondIC0, 16: PrecondIC0, 32: PrecondMG, 64: PrecondMG} {
+		m, _ := gridModel(t, nx, 1)
+		if got := m.PreconditionerName(); got != want {
+			t.Errorf("%dx%d: using %q, want %q", nx, nx, got, want)
 		}
 	}
-	cfg.Preconditioner = "amg"
-	if err := cfg.Validate(); err == nil {
-		t.Error("Preconditioner=amg: want validation error, got nil")
+	if m, _ := mgModel(t, 16, 1); m.PreconditionerName() != PrecondMG {
+		t.Errorf("16x16 forced to mg: using %q", m.PreconditionerName())
+	}
+	m, _ := gridModel(t, 4, 1)
+	if err := m.ForcePreconditionerForVerify(PrecondMG); err == nil {
+		t.Error("4x4 forced to mg: want an error, got nil")
+	}
+	if got := m.PreconditionerName(); got != PrecondIC0 {
+		t.Errorf("4x4 after a declined force: using %q, want %q", got, PrecondIC0)
+	}
+	if err := m.ForcePreconditionerForVerify("amg"); err == nil {
+		t.Error("forcing amg: want an error, got nil")
 	}
 }
 
@@ -74,13 +70,12 @@ func tightTolerance(t testing.TB, m *Model) *Model {
 func TestMGMatchesIC0(t *testing.T) {
 	for _, nx := range []int{16, 32} {
 		ref, pmap := gridModel(t, nx, 1)
-		ref = tightTolerance(t, ref)
+		ref = forced(t, tightTolerance(t, ref), PrecondIC0)
 		want, err := ref.Solve(pmap)
 		if err != nil {
 			t.Fatalf("nx=%d ic0 solve: %v", nx, err)
 		}
-		m, _ := mgModel(t, nx, 1)
-		m = tightTolerance(t, m)
+		m := forced(t, tightTolerance(t, ref), PrecondMG)
 		got, err := m.Solve(pmap)
 		if err != nil {
 			t.Fatalf("nx=%d mg solve: %v", nx, err)
@@ -282,12 +277,12 @@ func TestSolveSeededNeighborField(t *testing.T) {
 	m, pmap := gridModel(t, 32, 1)
 	m = tightTolerance(t, m)
 	want := solveCold(t, m, pmap)
-	// The neighbor here is a search move on the same model: the operator is
-	// unchanged and only the power map differs, which is exactly the
-	// situation the org engine's field cache serves. (A neighbor with
+	// The neighbor here shares the model: the operator is unchanged and
+	// only the power map differs, which is exactly the situation the
+	// leakage loop's in-request warm start serves. (A neighbor with
 	// perturbed conductances is the unrewarding case: its field difference
 	// is concentrated in the solver's slowest mode and the seed saves
-	// nothing — see DESIGN.md.)
+	// nothing.)
 	pmap2 := make([]float64, len(pmap))
 	for i, p := range pmap {
 		pmap2[i] = p * (1 + 0.05*float64(i%3))
@@ -341,10 +336,9 @@ func BenchmarkSolveColdGrid64MG(b *testing.B) {
 	b.ReportMetric(float64(iters), "cg-iters/op")
 }
 
-// BenchmarkSolveWarmNeighborMG times the neighbor-seeded warm solve the
-// org engine's field cache serves: the same model evaluated at a nearby
-// search point (the operator unchanged, the power map shifted), seeded
-// with that neighbor's converged field (target: <300 µs).
+// BenchmarkSolveWarmNeighborMG times a seeded multigrid solve of the kind
+// the leakage loop runs: the same model under a shifted power map, seeded
+// with the converged field of the previous one (target: <300 µs).
 func BenchmarkSolveWarmNeighborMG(b *testing.B) {
 	m, pmap := mgModel(b, 64, 1)
 	pmap2 := make([]float64, len(pmap))

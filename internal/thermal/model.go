@@ -52,16 +52,6 @@ type Config struct {
 	// avoid oversubscription. The thread count never changes results: the
 	// kernel is bit-deterministic across worker counts (see kernel.go).
 	KernelThreads int
-	// Preconditioner selects the CG preconditioner: PrecondIC0 (also the
-	// empty string) or PrecondMG for the geometric multigrid V-cycle (see
-	// mg.go). Grids the coarsener cannot halve fall back to IC(0);
-	// PreconditionerName reports what a model actually uses. Like
-	// KernelThreads this is a performance knob excluded from cache
-	// identity — both preconditioners converge the same system to the
-	// configured Tolerance — but unlike KernelThreads the two paths agree
-	// only to solver tolerance, not bit-for-bit. Within one
-	// preconditioner, results stay bit-identical at every thread count.
-	Preconditioner string
 }
 
 // DefaultConfig returns the evaluation configuration from Sec. IV: 64x64
@@ -104,11 +94,6 @@ func (c Config) Validate() error {
 	if c.KernelThreads < 0 {
 		return fmt.Errorf("thermal: kernel threads must be non-negative, got %d", c.KernelThreads)
 	}
-	switch c.Preconditioner {
-	case "", PrecondIC0, PrecondMG:
-	default:
-		return fmt.Errorf("thermal: unknown preconditioner %q (want %q or %q)", c.Preconditioner, PrecondIC0, PrecondMG)
-	}
 	return nil
 }
 
@@ -143,11 +128,12 @@ type Model struct {
 
 	sinkBase int // node index of the first sink node
 
-	// precond is the IC(0) factorization, always built: it is the default
-	// preconditioner, the fallback when the multigrid coarsener declines a
-	// geometry, and what the transient solver derives its shifted variant
-	// from. mg is non-nil only when cfg.Preconditioner selected multigrid
-	// and the hierarchy was buildable; runPCG prefers it.
+	// precond is the IC(0) factorization, always built: it preconditions
+	// grids below mgMinGridEdge, is the fallback when the multigrid
+	// coarsener declines a geometry, and is what the transient solver
+	// derives its shifted variant from. mg is non-nil only when the grid
+	// rule chose multigrid and the hierarchy was buildable; runPCG prefers
+	// it.
 	precond     *icPreconditioner
 	mg          *mgPreconditioner
 	precondName string
@@ -202,6 +188,14 @@ func NewModel(stack floorplan.Stack, cfg Config) (*Model, error) {
 	return m, nil
 }
 
+// mgMinGridEdge is the smallest grid edge at which a model preconditions
+// with multigrid rather than IC(0). DESIGN.md "Crossover" measures it: an
+// MG iteration costs ~4x an IC(0) iteration and the hierarchy setup ~7x
+// base assembly, so MG wins from 32x32 up (1.6x there, 3.6x at 64x64) and
+// loses at 16x16. The choice is a function of Nx and Ny alone, which every
+// cache key already carries, so it never forks an answer's identity.
+const mgMinGridEdge = 32
+
 // finalize converts the assembled edge list into the solver's CSR layout,
 // derives the preconditioner from the same (already column-sorted)
 // structure, and drops the edge list — after this point every matvec is a
@@ -210,17 +204,26 @@ func (m *Model) finalize() {
 	m.csr = newCSR(m.nNodes, m.links)
 	m.precond = newICFromCSR(m.nNodes, m.diag, m.csr)
 	m.precondName = PrecondIC0
-	if m.cfg.Preconditioner == PrecondMG {
-		if mg := newMultigrid(m.nLayer+2, m.cfg.Nx, m.cfg.Ny, m.diag, m.csr); mg != nil {
-			m.mg = mg
-			m.precondName = PrecondMG
-		}
+	if m.cfg.Nx >= mgMinGridEdge && m.cfg.Ny >= mgMinGridEdge {
+		m.useMultigrid()
 	}
 	m.links = nil
 }
 
+// useMultigrid builds the multigrid hierarchy and selects it, keeping
+// IC(0) when the coarsener declines the geometry. It reports whether
+// multigrid is in use.
+func (m *Model) useMultigrid() bool {
+	if mg := newMultigrid(m.nLayer+2, m.cfg.Nx, m.cfg.Ny, m.diag, m.csr); mg != nil {
+		m.mg = mg
+		m.precondName = PrecondMG
+	}
+	return m.mg != nil
+}
+
 // PreconditionerName reports the preconditioner the model's solves use:
-// PrecondMG when multigrid was requested and buildable, else PrecondIC0.
+// PrecondMG on grids of at least mgMinGridEdge per edge whose hierarchy
+// was buildable, else PrecondIC0.
 func (m *Model) PreconditionerName() string { return m.precondName }
 
 // addLink registers a symmetric conductance g between nodes a and b.

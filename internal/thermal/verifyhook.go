@@ -1,8 +1,12 @@
 package thermal
 
-// Verification-only mutation hook for internal/verify's mutation smoke
-// test: the harness must be proven to fail on a model whose conductances
-// are wrong, otherwise a passing suite says nothing.
+import "fmt"
+
+// Verification-only hooks. PerturbLinksForVerify serves internal/verify's
+// mutation smoke test: the harness must be proven to fail on a model whose
+// conductances are wrong, otherwise a passing suite says nothing.
+// ForcePreconditionerForVerify lets the differential checks run both
+// preconditioners on one system.
 
 // PerturbLinksForVerify scales every off-diagonal conductance of the
 // finalized system by a seeded per-link factor in [1-frac, 1-frac/2),
@@ -39,6 +43,27 @@ func (m *Model) PerturbLinksForVerify(seed int64, frac float64) {
 			m.csr.vals[idx] *= 1 - frac + frac/2*u
 		}
 	}
+}
+
+// ForcePreconditionerForVerify switches the model's solves to the named
+// preconditioner, PrecondIC0 or PrecondMG, overriding the grid rule (see
+// mgMinGridEdge). Forcing multigrid fails when the coarsener declines the
+// geometry.
+//
+// Test-only: callers must force before any solve runs and must not share
+// the model. Production code never calls this.
+func (m *Model) ForcePreconditionerForVerify(name string) error {
+	switch name {
+	case PrecondIC0:
+		m.mg, m.precondName = nil, PrecondIC0
+	case PrecondMG:
+		if m.mg == nil && !m.useMultigrid() {
+			return fmt.Errorf("thermal: multigrid declines the %dx%d grid", m.cfg.Nx, m.cfg.Ny)
+		}
+	default:
+		return fmt.Errorf("thermal: unknown preconditioner %q (want %q or %q)", name, PrecondIC0, PrecondMG)
+	}
+	return nil
 }
 
 // mixForVerify is the splitmix64 finalizer: a cheap, stateless way to turn

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"chiplet25d/internal/floorplan"
-	"chiplet25d/internal/org"
 	"chiplet25d/internal/thermal"
 )
 
@@ -29,13 +28,14 @@ const (
 
 	// WarmNeighborTolC bounds |T_seeded - T_cold| per node when the seed is
 	// a converged field of the same operator under a perturbed power map —
-	// the org engine's cross-evaluation warm start. Both solves hit
+	// the leakage loop's in-request warm start. Both solves hit
 	// VerifyCGTol, so only CG error remains.
 	WarmNeighborTolC = 1e-6
 )
 
 // precondModel assembles a verification-tolerance model for placement pl at
-// grid n×n with the given preconditioner and kernel thread count.
+// grid n×n with the given kernel thread count, its preconditioner forced to
+// precond through the verify hook (empty keeps the grid rule's choice).
 func precondModel(pl floorplan.Placement, n int, precond string, threads int) (*thermal.Model, error) {
 	stack, err := floorplan.BuildStack(pl)
 	if err != nil {
@@ -45,9 +45,12 @@ func precondModel(pl floorplan.Placement, n int, precond string, threads int) (*
 	cfg.Nx, cfg.Ny = n, n
 	cfg.Tolerance = VerifyCGTol
 	cfg.MaxIterations = 200000
-	cfg.Preconditioner = precond
 	cfg.KernelThreads = threads
-	return thermal.NewModel(stack, cfg)
+	m, err := thermal.NewModel(stack, cfg)
+	if err != nil || precond == "" {
+		return m, err
+	}
+	return m, m.ForcePreconditionerForVerify(precond)
 }
 
 // checkMGIC0Differential solves seeded random floorplans with both
@@ -55,9 +58,23 @@ func precondModel(pl floorplan.Placement, n int, precond string, threads int) (*
 // must change how fast CG converges, never what it converges to. It also
 // pins the multigrid path's determinism contract — serial and parallel
 // kernels produce bit-identical fields — since the striped reductions that
-// guarantee it for IC(0) now also run inside the V-cycle.
+// guarantee it for IC(0) now also run inside the V-cycle. First it pins
+// the grid rule that picks between the two paths: a default model uses
+// IC(0) at 16x16 and multigrid at 32x32.
 func checkMGIC0Differential(ctx *Context) error {
 	rng := rand.New(rand.NewSource(caseSeed + 5))
+	for _, r := range []struct {
+		n    int
+		want string
+	}{{16, thermal.PrecondIC0}, {32, thermal.PrecondMG}} {
+		m, err := precondModel(floorplan.SingleChip(), r.n, "", 1)
+		if err != nil {
+			return failf("mg-ic0: grid rule: grid %d model: %v", r.n, err)
+		}
+		if got := m.PreconditionerName(); got != r.want {
+			return failf("mg-ic0: grid rule: a default grid-%d model uses %q, want %q", r.n, got, r.want)
+		}
+	}
 	cases := 3
 	grids := []int{invariantGridN, 2 * invariantGridN}
 	if ctx != nil && ctx.Long {
@@ -73,9 +90,6 @@ func checkMGIC0Differential(ctx *Context) error {
 			mg, err := precondModel(pl, n, thermal.PrecondMG, 1)
 			if err != nil {
 				return failf("mg-ic0: case %d grid %d: mg model: %v", c, n, err)
-			}
-			if got := mg.PreconditionerName(); got != thermal.PrecondMG {
-				return failf("mg-ic0: case %d grid %d: model configured for multigrid reports preconditioner %q — the mg path silently fell back", c, n, got)
 			}
 			pmap, _ := randPowerMap(rng, mg, pl)
 			ri, err := ic0.Solve(pmap)
@@ -132,14 +146,11 @@ func checkMGIC0Differential(ctx *Context) error {
 	return nil
 }
 
-// checkWarmStartFixpoint pins the warm-start contract at both layers. At
-// the solver layer: a solve seeded with its own solution returns that fixed
-// point (relative gap ≤ WarmFixpointRelTol), and a solve seeded with a
-// same-operator neighbor's field — the org engine's cross-evaluation warm
-// start — lands within WarmNeighborTolC of the cold solve. At the search
-// layer: the golden-corpus search replayed with multigrid + warm starts
-// must pick the identical winner, so the retained-field cache is a pure
-// performance knob on the corpus, invisible in results.
+// checkWarmStartFixpoint pins the in-request warm start the leakage loop
+// runs (SolveWarm seeds each solve from the previous iteration's field): a
+// solve seeded with its own solution returns that fixed point (relative gap
+// ≤ WarmFixpointRelTol), and a solve seeded with a same-operator neighbor's
+// field lands within WarmNeighborTolC of the cold solve.
 func checkWarmStartFixpoint(ctx *Context) error {
 	rng := rand.New(rand.NewSource(caseSeed + 7))
 	for c := 0; c < 3; c++ {
@@ -176,7 +187,7 @@ func checkWarmStartFixpoint(ctx *Context) error {
 				c, worstRel, WarmFixpointRelTol)
 		}
 		// Neighbor seed: a converged field of the same operator under a
-		// perturbed power map, as the engine's warm cache serves.
+		// perturbed power map, as the next leakage-loop iteration sees.
 		pmap2 := make([]float64, len(pmap))
 		for i, p := range pmap {
 			pmap2[i] = p * (1 + 0.05*float64(i%3))
@@ -200,50 +211,6 @@ func checkWarmStartFixpoint(ctx *Context) error {
 		}
 		ctx.logf("warm-start: case %d: self-seed rel gap %.3g, neighbor-seed gap %.3g °C (cold %d iters, seeded %d)",
 			c, worstRel, worst, coldN.Iterations, warmN.Iterations)
-	}
-
-	// End-to-end: replay the golden-corpus search with the full PR
-	// configuration (multigrid + warm starts) and require the identical
-	// winner. Same structure as drift/spatial-parity: parity is pinned on
-	// the corpus, not claimed universally.
-	_, _, searches := corpusCases()
-	for _, c := range searches {
-		cfg, err := searchConfig(c)
-		if err != nil {
-			return err
-		}
-		warm := cfg
-		warm.Thermal.Preconditioner = thermal.PrecondMG
-		warm.WarmStart = true
-
-		run := func(cfg org.Config) (org.Result, error) {
-			s, err := org.NewSearcher(cfg)
-			if err != nil {
-				return org.Result{}, err
-			}
-			return s.Optimize()
-		}
-		rw, err := run(warm)
-		if err != nil {
-			return failf("warm-start: %s: warm search: %v", c.Name, err)
-		}
-		rf, err := run(cfg)
-		if err != nil {
-			return failf("warm-start: %s: corpus search: %v", c.Name, err)
-		}
-		if rw.Feasible != rf.Feasible {
-			return failf("warm-start: %s: feasibility diverged: warm %v, corpus %v", c.Name, rw.Feasible, rf.Feasible)
-		}
-		b, w := rw.Best, rf.Best
-		if b.Op != w.Op || b.ActiveCores != w.ActiveCores || b.N != w.N ||
-			b.InterposerMM != w.InterposerMM || b.S1 != w.S1 || b.S2 != w.S2 || b.S3 != w.S3 {
-			return failf("warm-start: %s: winners diverged:\n  warm:   %+v\n  corpus: %+v", c.Name, b, w)
-		}
-		if d := math.Abs(b.PeakC - w.PeakC); d > GoldenTolC {
-			return failf("warm-start: %s: winner peak temperature differs by %.3g °C (> %.0e)", c.Name, d, GoldenTolC)
-		}
-		ctx.logf("warm-start: %s: identical winner (n=%d f=%.0f MHz p=%d), peak gap %.3g °C",
-			c.Name, b.N, b.Op.FreqMHz, b.ActiveCores, math.Abs(b.PeakC-w.PeakC))
 	}
 	return nil
 }

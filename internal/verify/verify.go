@@ -184,7 +184,7 @@ func Checks() []Check {
 		},
 		{
 			Name:        "differential/warm-start",
-			Description: "warm-started solves converge to the cold fixed point; corpus search with mg+warm picks the identical winner",
+			Description: "self- and neighbor-seeded solves, as the leakage loop runs them, converge to the cold fixed point",
 			Run:         checkWarmStartFixpoint,
 		},
 		{

@@ -1,46 +1,19 @@
 #!/usr/bin/env sh
-# bench.sh - record solver benchmark results as a numbered JSON artifact.
+# bench.sh - record chipletd's end-to-end ledger as a numbered JSON artifact.
 #
-# Usage: scripts/bench.sh
-#   BENCHTIME=3x scripts/bench.sh   # quicker smoke-quality numbers
+# Usage: scripts/bench.sh [runs]    # runs defaults to 5 seeds
 #
-# Runs the thermal solve benchmarks (the root harness plus the kernel
-# thread variants in internal/thermal) and the org multi-start search
-# benchmarks (serial vs restart workers, warm shared-engine search, memoized
-# engine lookup) and writes BENCH_<n>.json at the repository root, where n
-# counts the BENCH_*.json artifacts already present — so successive runs
-# line up as a series (BENCH_0.json is the pre-CSR seed baseline). Each
-# record carries ns/op (plus B/op, allocs/op, and memo-hit-ratio where the
-# benchmark emits them); the summary derives speedup_vs_serial for the
-# kernel thread variants, search_speedup_vs_serial for the restart-worker
-# variants, warm_shared_engine_speedup for a search over an already-warm
-# process-wide engine (the chipletd steady state), and — from the fidelity
-# benchmarks — full_cg_solve_reduction (full-fidelity CG solves divided by
-# spatial-tier CG solves, DoE calibration sims included), the spatial-tier
-# hit ratio, and the warm per-prediction latency of the spatial model. The
-# telemetry benchmarks add export_overhead_ratio (traced+exporting solve over
-# the untraced baseline) and audit_overhead_ratio (audited greedy search over
-# the unaudited one). The preconditioner benchmarks add cold_solve_speedup
-# (IC(0) cold 64x64 solve over the multigrid one), warm_neighbor_solve_ns
-# (multigrid solve seeded from a same-operator neighbor field),
-# cg_iters_{ic0,mg} (the machine-independent halves of those claims), and
-# two end-to-end search ratios at a 32x32 grid (at the multigrid
-# crossover): mg_warm_search_speedup with the fidelity ladder on and
-# mg_warm_fullfid_search_speedup with every evaluation simulating (the
-# paper's original workflow). Expect the end-to-end ratios near 1.0 at this
-# reduced scale — the surrogate ladder already removes most repeated sims,
-# so the cold-solve win shows up per solve, not per search; see
-# EXPERIMENTS.md. The scale-out benchmarks add batch_vs_sequential_speedup
-# (64 sequential warm HTTP solves over one warm /v1/batch sweep of the same
-# 64 candidates), coalesce_hit_ratio (computations the sweep's canonical-form
-# coalescing removed on the cold pass), and peer_fetch_hit_ns (one memoized
-# simulation pulled over GET /v1/memo, the sharded alternative to
-# re-simulating).
+# Runs cmd/chipletbench in ledger mode: every workload (solve, search,
+# sweep, mixed) for seeds 1..runs, untraced for the end-to-end metrics and
+# traced for the per-layer self-time shares, each number the median of the
+# runs with its min/max. The ledger goes to BENCH_<n>.json at the repository
+# root, where n counts the BENCH_*.json artifacts already present, so
+# successive runs line up as a series. Judge one ledger against an earlier
+# one with
 #
-# Every record is annotated with gomaxprocs and num_cpu so a series mixing
-# host sizes stays interpretable; on boxes with fewer than 4 CPUs the
-# workers-8 search benchmark is skipped (it can only measure oversubscription
-# noise there).
+#   go run -C cmd/chipletbench . -compare BENCH_<m>.json -ledger BENCH_<n>.json
+#
+# which flags only changes outside the recorded spread.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,139 +22,5 @@ n=0
 for f in BENCH_*.json; do
     [ -e "$f" ] && n=$((n + 1))
 done
-out="BENCH_${n}.json"
 
-ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-gmp="${GOMAXPROCS:-$ncpu}"
-
-search_bench='BenchmarkMultiStartSearch|BenchmarkEngineLookupHit'
-if [ "$ncpu" -lt 4 ]; then
-    echo "bench.sh: $ncpu CPU(s) online; skipping the workers-8 search benchmark"
-    search_bench='BenchmarkMultiStartSearchSerial$|BenchmarkMultiStartSearchWorkers[24]$|BenchmarkMultiStartSearchWarmShared$|BenchmarkMultiStartSearchSerial32$|BenchmarkMultiStartSearchMGWarm32$|BenchmarkEngineLookupHit'
-fi
-
-bench_out=$(
-    go test -run '^$' -bench 'BenchmarkThermalSolve64$|BenchmarkThermalSolve64MG$|BenchmarkThermalSolveWarmNeighbor64MG$|BenchmarkLeakageCoupledSim$|BenchmarkTransientStep$' \
-        -benchmem -benchtime "${BENCHTIME:-1s}" . &&
-        go test -run '^$' -bench 'BenchmarkSolveWarmGrid64' \
-            -benchmem -benchtime "${BENCHTIME:-1s}" ./internal/thermal &&
-        go test -run '^$' -bench "$search_bench" \
-            -benchtime "${SEARCHBENCHTIME:-3x}" ./internal/org &&
-        go test -run '^$' -bench 'BenchmarkSearchFullFidelity|BenchmarkSearchSpatialTier|BenchmarkSpatialPredict' \
-            -benchtime "${SEARCHBENCHTIME:-3x}" ./internal/org &&
-        go test -run '^$' -bench 'BenchmarkSolveUntraced$|BenchmarkSolveTracedExporting$|BenchmarkGreedyPlacementSearch$|BenchmarkGreedyPlacementSearchAudited$' \
-            -benchtime "${SEARCHBENCHTIME:-3x}" . &&
-        go test -run '^$' -bench 'BenchmarkChipletdBatchSweep64Warm$|BenchmarkChipletdSequentialSweep64Warm$|BenchmarkChipletdPeerFetchHit$' \
-            -benchtime "${BATCHBENCHTIME:-20x}" .
-)
-echo "$bench_out"
-
-echo "$bench_out" | awk -v out="$out" -v gmp="$gmp" -v ncpu="$ncpu" '
-    /^Benchmark/ {
-        name = $1
-        sub(/-[0-9]+$/, "", name)
-        for (i = 3; i <= NF; i++) {
-            if ($i == "ns/op") ns[name] = $(i - 1)
-            else if ($i == "B/op") by[name] = $(i - 1)
-            else if ($i == "allocs/op") al[name] = $(i - 1)
-            else if ($i == "memo-hit-ratio") hr[name] = $(i - 1)
-            else if ($i == "full-sims/op") fs[name] = $(i - 1)
-            else if ($i == "spatial-hit-ratio") sh[name] = $(i - 1)
-            else if ($i == "cg-iters/op") cg[name] = $(i - 1)
-            else if ($i == "warm-seeds/op") ws[name] = $(i - 1)
-            else if ($i == "coalesce-hit-ratio") ch[name] = $(i - 1)
-        }
-        if (!(name in seen)) { order[++cnt] = name; seen[name] = 1 }
-    }
-    END {
-        if (!cnt) { print "bench.sh: no benchmark output" > "/dev/stderr"; exit 1 }
-        printf "{\n  \"gomaxprocs\": %d,\n  \"num_cpu\": %d,\n  \"benchmarks\": [\n", gmp, ncpu > out
-        for (i = 1; i <= cnt; i++) {
-            name = order[i]
-            printf "    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns[name] > out
-            if (name in by) printf ", \"bytes_per_op\": %s, \"allocs_per_op\": %s", by[name], al[name] > out
-            if (name in hr) printf ", \"memo_hit_ratio\": %s", hr[name] > out
-            if (name in fs) printf ", \"full_sims_per_op\": %s", fs[name] > out
-            if (name in sh) printf ", \"spatial_hit_ratio\": %s", sh[name] > out
-            if (name in cg) printf ", \"cg_iters_per_op\": %s", cg[name] > out
-            if (name in ws) printf ", \"warm_seeds_per_op\": %s", ws[name] > out
-            if (name in ch) printf ", \"coalesce_hit_ratio\": %s", ch[name] > out
-            printf "}%s\n", (i < cnt ? "," : "") > out
-        }
-        printf "  ],\n  \"speedup_vs_serial\": {" > out
-        serial = ns["BenchmarkSolveWarmGrid64Serial"]
-        first = 1
-        for (i = 1; i <= cnt; i++) {
-            name = order[i]
-            if (name ~ /^BenchmarkSolveWarmGrid64Threads/ && serial > 0) {
-                printf "%s\"%s\": %.3f", (first ? "" : ", "), name, serial / ns[name] > out
-                first = 0
-            }
-        }
-        printf "},\n" > out
-        printf "  \"search_speedup_vs_serial\": {" > out
-        sserial = ns["BenchmarkMultiStartSearchSerial"]
-        first = 1
-        for (i = 1; i <= cnt; i++) {
-            name = order[i]
-            if (name ~ /^BenchmarkMultiStartSearchWorkers/ && sserial > 0) {
-                printf "%s\"%s\": %.3f", (first ? "" : ", "), name, sserial / ns[name] > out
-                first = 0
-            }
-        }
-        printf "}" > out
-        warm = ns["BenchmarkMultiStartSearchWarmShared"]
-        if (sserial > 0 && warm > 0)
-            printf ",\n  \"warm_shared_engine_speedup\": %.1f", sserial / warm > out
-        if ("BenchmarkMultiStartSearchSerial" in hr)
-            printf ",\n  \"engine_memo_hit_ratio\": %s", hr["BenchmarkMultiStartSearchSerial"] > out
-        if ("BenchmarkEngineLookupHit" in ns)
-            printf ",\n  \"engine_lookup_ns\": %s", ns["BenchmarkEngineLookupHit"] > out
-        ffull = fs["BenchmarkSearchFullFidelity"]
-        fsp = fs["BenchmarkSearchSpatialTier"]
-        if (ffull > 0 && fsp > 0) {
-            printf ",\n  \"full_cg_solve_reduction\": %.2f", ffull / fsp > out
-            printf ",\n  \"spatial_search_speedup\": %.2f", ns["BenchmarkSearchFullFidelity"] / ns["BenchmarkSearchSpatialTier"] > out
-        }
-        if ("BenchmarkSearchSpatialTier" in sh)
-            printf ",\n  \"spatial_hit_ratio\": %s", sh["BenchmarkSearchSpatialTier"] > out
-        if ("BenchmarkSpatialPredict" in ns)
-            printf ",\n  \"spatial_predict_ns\": %s", ns["BenchmarkSpatialPredict"] > out
-        unt = ns["BenchmarkSolveUntraced"]
-        xp = ns["BenchmarkSolveTracedExporting"]
-        if (unt > 0 && xp > 0)
-            printf ",\n  \"export_overhead_ratio\": %.3f", xp / unt > out
-        plain = ns["BenchmarkGreedyPlacementSearch"]
-        aud = ns["BenchmarkGreedyPlacementSearchAudited"]
-        if (plain > 0 && aud > 0)
-            printf ",\n  \"audit_overhead_ratio\": %.3f", aud / plain > out
-        ic0 = ns["BenchmarkThermalSolve64"]
-        mg = ns["BenchmarkThermalSolve64MG"]
-        if (ic0 > 0 && mg > 0)
-            printf ",\n  \"cold_solve_speedup\": %.2f", ic0 / mg > out
-        if ("BenchmarkThermalSolveWarmNeighbor64MG" in ns)
-            printf ",\n  \"warm_neighbor_solve_ns\": %s", ns["BenchmarkThermalSolveWarmNeighbor64MG"] > out
-        if ("BenchmarkThermalSolve64" in cg)
-            printf ",\n  \"cg_iters_ic0\": %s", cg["BenchmarkThermalSolve64"] > out
-        if ("BenchmarkThermalSolve64MG" in cg)
-            printf ",\n  \"cg_iters_mg\": %s", cg["BenchmarkThermalSolve64MG"] > out
-        s32 = ns["BenchmarkMultiStartSearchSerial32"]
-        mgwarm = ns["BenchmarkMultiStartSearchMGWarm32"]
-        if (s32 > 0 && mgwarm > 0)
-            printf ",\n  \"mg_warm_search_speedup\": %.2f", s32 / mgwarm > out
-        ff32 = ns["BenchmarkSearchFullFidelity32"]
-        ffmg = ns["BenchmarkSearchFullFidelity32MGWarm"]
-        if (ff32 > 0 && ffmg > 0)
-            printf ",\n  \"mg_warm_fullfid_search_speedup\": %.2f", ff32 / ffmg > out
-        bat = ns["BenchmarkChipletdBatchSweep64Warm"]
-        seq = ns["BenchmarkChipletdSequentialSweep64Warm"]
-        if (bat > 0 && seq > 0)
-            printf ",\n  \"batch_vs_sequential_speedup\": %.2f", seq / bat > out
-        if ("BenchmarkChipletdBatchSweep64Warm" in ch)
-            printf ",\n  \"coalesce_hit_ratio\": %s", ch["BenchmarkChipletdBatchSweep64Warm"] > out
-        if ("BenchmarkChipletdPeerFetchHit" in ns)
-            printf ",\n  \"peer_fetch_hit_ns\": %s", ns["BenchmarkChipletdPeerFetchHit"] > out
-        printf "\n}\n" > out
-    }'
-
-echo "bench.sh: wrote $out"
+exec bash cmd/chipletbench/run.sh -runs "${1:-5}" -out "BENCH_${n}.json"
