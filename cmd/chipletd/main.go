@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	chipletd [-addr :8080] [-workers N] [-kernel-threads N]
-//	         [-search-workers N] [-queue N] [-cache N] [-timeout 60s]
+//	chipletd [-addr :8080] [-workers N] [-search-workers N]
+//	         [-queue N] [-cache N] [-timeout 60s]
 //	         [-grid-max 128] [-spatial]
 //	         [-tco-node 7nm]
 //	         [-config file.json]
@@ -76,7 +76,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "", "listen address (default :8080)")
 		workers    = flag.Int("workers", 0, "max concurrent solves (default GOMAXPROCS)")
-		kthreads   = flag.Int("kernel-threads", 0, "thermal-kernel worker goroutines per solve (default GOMAXPROCS/workers, min 1)")
 		sworkers   = flag.Int("search-workers", 0, "greedy-restart worker goroutines per org search (default GOMAXPROCS/workers, min 1)")
 		queue      = flag.Int("queue", 0, "admission queue depth; beyond it requests get 503 (default 64)")
 		cacheCap   = flag.Int("cache", 0, "result cache capacity in entries (default 512)")
@@ -116,9 +115,6 @@ func main() {
 		}
 		if sc.Workers != nil {
 			opts.Workers = *sc.Workers
-		}
-		if sc.KernelThreads != nil {
-			opts.KernelThreads = *sc.KernelThreads
 		}
 		if sc.SearchWorkers != nil {
 			opts.SearchWorkers = *sc.SearchWorkers
@@ -166,9 +162,6 @@ func main() {
 	}
 	if *workers > 0 {
 		opts.Workers = *workers
-	}
-	if *kthreads > 0 {
-		opts.KernelThreads = *kthreads
 	}
 	if *sworkers > 0 {
 		opts.SearchWorkers = *sworkers

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -32,6 +33,15 @@ func TestDaemonSmoke(t *testing.T) {
 	build := exec.Command("go", "build", "-o", bin, ".")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	// Removed flags are flag errors, so a stale command line fails loudly
+	// instead of starting a daemon that ignores the setting.
+	out, err := exec.Command(bin, "-kernel-threads", "2").CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 ||
+		!strings.Contains(string(out), "flag provided but not defined: -kernel-threads") {
+		t.Fatalf("chipletd -kernel-threads 2: err %v, output %q; want a flag error (exit 2)", err, out)
 	}
 
 	// OTLP sink: the daemon exports its traces here; the SIGTERM drain must

@@ -31,7 +31,7 @@ type File struct {
 
 	// ObjectiveMode selects how the search ranks combinations: "eq5"
 	// (absent/empty: the paper's Eq. (5)) or "tco" (annual datacenter
-	// $/GIPS from the TCO elaboration). Unlike kernel_threads this knob —
+	// $/GIPS from the TCO elaboration). Unlike search_workers this knob —
 	// and the TCO section below — changes which organization wins, so both
 	// are part of a search's cache identity.
 	ObjectiveMode string `json:"objective_mode,omitempty"`
@@ -44,12 +44,12 @@ type File struct {
 	InterposerMax  *float64 `json:"interposer_max_mm,omitempty"`
 	InterposerStep *float64 `json:"interposer_step_mm,omitempty"`
 
-	Starts          *int     `json:"starts,omitempty"`
-	Seed            *int64   `json:"seed,omitempty"`
-	MaxNormCost     *float64 `json:"max_norm_cost,omitempty"`
-	ParallelWorkers *int     `json:"parallel_workers,omitempty"`
-	// SearchWorkers bounds concurrent greedy restarts (0/absent: serial for
-	// the CLIs, the daemon default for chipletd). Purely a wall-clock knob:
+	Starts      *int     `json:"starts,omitempty"`
+	Seed        *int64   `json:"seed,omitempty"`
+	MaxNormCost *float64 `json:"max_norm_cost,omitempty"`
+	// SearchWorkers bounds the greedy restarts (or exhaustive-scan grid
+	// points) one search evaluates concurrently (0/absent: serial for the
+	// CLIs, the daemon default for chipletd). Purely a wall-clock knob:
 	// results are bit-identical at any worker count (org's determinism
 	// contract).
 	SearchWorkers   *int     `json:"search_workers,omitempty"`
@@ -65,10 +65,6 @@ type File struct {
 	AmbientC          *float64 `json:"ambient_c,omitempty"`
 	HeatTransferCoeff *float64 `json:"heat_transfer_coeff,omitempty"`
 	BoardHeatTransfer *float64 `json:"board_heat_transfer_coeff,omitempty"`
-	// KernelThreads sets the thermal solver's parallel-kernel worker count
-	// (0/absent: the package default; 1: serial). Purely a wall-clock knob:
-	// the kernel is bit-deterministic across thread counts.
-	KernelThreads *int `json:"kernel_threads,omitempty"`
 
 	Cost    *cost.Params        `json:"cost,omitempty"`
 	Leakage *power.LeakageModel `json:"leakage,omitempty"`
@@ -86,14 +82,10 @@ type Server struct {
 	Addr string `json:"addr,omitempty"`
 	// Workers bounds concurrent solves (default: GOMAXPROCS).
 	Workers *int `json:"workers,omitempty"`
-	// KernelThreads is the per-solve thermal-kernel worker count (default:
-	// GOMAXPROCS divided by Workers, at least 1, so request-level and
-	// kernel-level parallelism compose without oversubscribing).
-	KernelThreads *int `json:"kernel_threads,omitempty"`
 	// SearchWorkers is the per-search greedy-restart worker count applied to
 	// search requests that do not set their own (default: GOMAXPROCS divided
-	// by Workers, at least 1 — the same budget rule as KernelThreads, one
-	// level up the hierarchy: serve pool → search workers → kernel threads).
+	// by Workers, at least 1 — the second level of the worker budget: serve
+	// pool → search workers).
 	SearchWorkers *int `json:"search_workers,omitempty"`
 	// QueueDepth bounds the admission queue; beyond it requests are shed
 	// with 503 (default 64).
@@ -204,9 +196,6 @@ func (f *File) ToConfig() (org.Config, error) {
 		cfg.Seed = *f.Seed
 	}
 	setF(&cfg.MaxNormCost, f.MaxNormCost)
-	if f.ParallelWorkers != nil {
-		cfg.ParallelWorkers = *f.ParallelWorkers
-	}
 	if f.SearchWorkers != nil {
 		cfg.SearchWorkers = *f.SearchWorkers
 	}
@@ -217,9 +206,6 @@ func (f *File) ToConfig() (org.Config, error) {
 	setF(&cfg.SpatialMarginC, f.SpatialMargin)
 	if f.ThermalGridN != nil {
 		cfg.Thermal.Nx, cfg.Thermal.Ny = *f.ThermalGridN, *f.ThermalGridN
-	}
-	if f.KernelThreads != nil {
-		cfg.Thermal.KernelThreads = *f.KernelThreads
 	}
 	setF(&cfg.Thermal.AmbientC, f.AmbientC)
 	setF(&cfg.Thermal.HeatTransferCoeff, f.HeatTransferCoeff)
@@ -274,7 +260,6 @@ func Save(w io.Writer, cfg org.Config) error {
 		Starts:            &cfg.Starts,
 		Seed:              &cfg.Seed,
 		MaxNormCost:       &cfg.MaxNormCost,
-		ParallelWorkers:   &cfg.ParallelWorkers,
 		SearchWorkers:     &cfg.SearchWorkers,
 		SurrogateMargin:   &cfg.SurrogateMarginC,
 		SpatialSurrogate:  &cfg.SpatialSurrogate,
@@ -283,7 +268,6 @@ func Save(w io.Writer, cfg org.Config) error {
 		AmbientC:          &cfg.Thermal.AmbientC,
 		HeatTransferCoeff: &cfg.Thermal.HeatTransferCoeff,
 		BoardHeatTransfer: &cfg.Thermal.BoardHeatTransferCoeff,
-		KernelThreads:     &cfg.Thermal.KernelThreads,
 		Cost:              &cfg.CostParams,
 		Leakage:           &cfg.Leakage,
 	}

@@ -83,9 +83,12 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(strings.NewReader(`not json`)); err == nil {
 		t.Errorf("expected parse error")
 	}
-	// Removed solver knobs are unknown fields, at the top level and in the
-	// server section, so a stale config fails loudly.
-	for _, field := range []string{`"warm_start": true`, `"warm_start_cache": 8`, `"preconditioner": "mg"`} {
+	// Removed solver and worker knobs are unknown fields, at the top level
+	// and in the server section, so a stale config fails loudly.
+	for _, field := range []string{
+		`"warm_start": true`, `"warm_start_cache": 8`, `"preconditioner": "mg"`,
+		`"kernel_threads": 2`, `"parallel_workers": 2`,
+	} {
 		if _, err := Load(strings.NewReader(`{"benchmark": "shock", ` + field + `}`)); err == nil {
 			t.Errorf("expected error for removed field %s", field)
 		}

@@ -102,12 +102,6 @@ func (o Options) orgConfig(b perf.Benchmark) org.Config {
 	cfg := org.DefaultConfig(b)
 	cfg.Thermal = o.thermalConfig()
 	cfg.Seed = o.Seed
-	if o.Workers > 1 && cfg.Thermal.KernelThreads == 0 {
-		// Unit-level parallelism takes the worker budget; thermal kernels
-		// run serial (the same hierarchy rule org.NewEngine applies for
-		// restart-level parallelism).
-		cfg.Thermal.KernelThreads = 1
-	}
 	if o.Scale == Reduced {
 		cfg.InterposerStepMM = 2
 		cfg.Starts = 5

@@ -48,7 +48,7 @@ func TestPeakCCanceled(t *testing.T) {
 // its workers and returns promptly when the context is canceled mid-run.
 func TestExhaustiveScanCanceled(t *testing.T) {
 	cfg := cancelTestConfig(t)
-	cfg.ParallelWorkers = 4
+	cfg.SearchWorkers = 4
 	cfg.SurrogateMarginC = -1 // force full simulations so the scan has real work
 	s, err := NewSearcher(cfg)
 	if err != nil {

@@ -244,11 +244,7 @@ type EngineStats struct {
 }
 
 // NewEngine builds an evaluation engine from a configuration's physics
-// fields. The worker-budget hierarchy is applied here: when the
-// configuration enables restart- or scan-level parallelism
-// (SearchWorkers > 1 or ParallelWorkers > 1) and no explicit KernelThreads
-// is set, thermal kernels are pinned serial so the two levels of
-// parallelism do not oversubscribe the machine.
+// fields.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Thermal.Validate(); err != nil {
 		return nil, err
@@ -269,9 +265,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Link:    cfg.Link,
 		Router:  cfg.Router,
 	}
-	if (cfg.SearchWorkers > 1 || cfg.ParallelWorkers > 1) && phys.Thermal.KernelThreads == 0 {
-		phys.Thermal.KernelThreads = 1
-	}
 	fp := physFingerprint(cfg)
 	e := &Engine{phys: phys, fp: fp, fpHash: hashFingerprint(fp), spatials: make(map[benchKey]*calEntry)}
 	e.models = newModelCache(defaultModelCache)
@@ -284,13 +277,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // physFingerprint canonicalizes the physics substrate of a configuration.
-// KernelThreads is excluded: it is a wall-clock knob with bit-identical
-// results (thermal's determinism contract), so it must not fork engine
-// identity.
 func physFingerprint(cfg Config) string {
-	tc := cfg.Thermal
-	tc.KernelThreads = 0
-	return fmt.Sprintf("%#v|%#v|%#v|%#v|%#v", tc, cfg.Leakage, cfg.SimOpts, cfg.Link, cfg.Router)
+	return fmt.Sprintf("%#v|%#v|%#v|%#v|%#v", cfg.Thermal, cfg.Leakage, cfg.SimOpts, cfg.Link, cfg.Router)
 }
 
 // Fingerprint identifies the engine's physics substrate; a Searcher may

@@ -11,9 +11,7 @@ import (
 
 // benchSearchConfig is the multi-start search benchmark workload: the fast
 // test geometry with more restarts so restart-level parallelism has work to
-// spread. Thermal kernels are pinned serial for every variant, so the
-// serial-vs-workers comparison isolates restart-level parallelism rather
-// than trading it against kernel threads.
+// spread.
 func benchSearchConfig(b *testing.B, workers int) Config {
 	b.Helper()
 	bench, err := perf.ByName("cholesky")
@@ -22,7 +20,6 @@ func benchSearchConfig(b *testing.B, workers int) Config {
 	}
 	cfg := DefaultConfig(bench)
 	cfg.Thermal.Nx, cfg.Thermal.Ny = 16, 16
-	cfg.Thermal.KernelThreads = 1
 	cfg.InterposerStepMM = 2
 	cfg.Starts = 8
 	cfg.Seed = 3

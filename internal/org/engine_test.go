@@ -281,12 +281,6 @@ func TestSearcherEngineFingerprintMismatch(t *testing.T) {
 	if _, err := NewSearcherWithEngine(knobs, eng); err != nil {
 		t.Fatalf("search-level knobs must not fork engine identity: %v", err)
 	}
-	// KernelThreads is a wall-clock knob and must not fork identity either.
-	kt := cfg
-	kt.Thermal.KernelThreads = 4
-	if _, err := NewSearcherWithEngine(kt, eng); err != nil {
-		t.Fatalf("KernelThreads must not fork engine identity: %v", err)
-	}
 }
 
 func TestEngineCacheSharesAndEvicts(t *testing.T) {
@@ -331,35 +325,5 @@ func TestEngineCacheSharesAndEvicts(t *testing.T) {
 	}
 	if a2 != a {
 		t.Fatal("recently used engine was evicted")
-	}
-}
-
-// The worker-budget hierarchy: enabling restart- or scan-level parallelism
-// pins the thermal kernel serial unless explicitly configured.
-func TestEngineKernelPin(t *testing.T) {
-	cfg := fastConfig(t, "canneal")
-	cfg.SearchWorkers = 4
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.phys.Thermal.KernelThreads != 1 {
-		t.Fatalf("SearchWorkers > 1 must pin kernel threads to 1, got %d", eng.phys.Thermal.KernelThreads)
-	}
-	cfg.Thermal.KernelThreads = 3
-	eng2, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng2.phys.Thermal.KernelThreads != 3 {
-		t.Fatalf("explicit KernelThreads must be honored, got %d", eng2.phys.Thermal.KernelThreads)
-	}
-	serial := fastConfig(t, "canneal")
-	eng3, err := NewEngine(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng3.phys.Thermal.KernelThreads != 0 {
-		t.Fatalf("serial search must leave kernel threading auto, got %d", eng3.phys.Thermal.KernelThreads)
 	}
 }

@@ -158,60 +158,36 @@ func (s *Searcher) findPlacement(ctx context.Context, n int, edgeMM float64, op 
 		return restartResult{pl: pl, peak: peak, found: found, err: err, ran: true}
 	}
 
-	workers := s.cfg.SearchWorkers
-	if workers > starts {
-		workers = starts
-	}
-	if workers <= 1 {
-		for restart := 0; restart < starts; restart++ {
-			r := runOne(restart)
-			if r.err != nil {
-				return floorplan.Placement{}, 0, false, r.err
-			}
-			if r.found {
-				return r.pl, r.peak, true, nil
-			}
-		}
-		return floorplan.Placement{}, 0, false, nil
-	}
-
-	// Parallel multi-start. Serial semantics stop at the first terminal
-	// restart (found or error), so the winner is the minimum terminal index;
-	// restarts above the current minimum can no longer affect the outcome
-	// and are skipped. Every skipped index is strictly above some terminal
-	// index, so the ascending scan below always reaches the true winner
-	// before any skipped slot.
+	// Restarts are the unit of parallelism. On a 2-CPU Xeon (num_cpu = 2)
+	// BenchmarkMultiStartSearch took 3.35–4.14 s serial and 2.31–2.53 s on
+	// two workers (medians 3.74 / 2.38 s, 1.57x), while splitting one solve
+	// across kernel threads stayed inside the noise and was deleted
+	// (DESIGN.md "Worker budget").
+	//
+	// Serial semantics stop at the first terminal restart (found or error),
+	// so the winner is the minimum terminal index; restarts above the
+	// current minimum can no longer affect the outcome and are skipped.
+	// Every skipped index is strictly above some terminal index, so the
+	// ascending scan below always reaches the true winner before any
+	// skipped slot. With one worker this is exactly the serial loop.
 	results := make([]restartResult, starts)
-	var next atomic.Int64
 	var stopAt atomic.Int64
 	stopAt.Store(int64(starts))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	fanOut(s.cfg.SearchWorkers, starts, func(restart int) {
+		if int64(restart) > stopAt.Load() {
+			return // cannot beat an earlier terminal restart
+		}
+		r := runOne(restart)
+		results[restart] = r
+		if r.terminal() {
 			for {
-				restart := int(next.Add(1) - 1)
-				if restart >= starts {
-					return
-				}
-				if int64(restart) > stopAt.Load() {
-					continue // cannot beat an earlier terminal restart
-				}
-				r := runOne(restart)
-				results[restart] = r
-				if r.terminal() {
-					for {
-						cur := stopAt.Load()
-						if int64(restart) >= cur || stopAt.CompareAndSwap(cur, int64(restart)) {
-							break
-						}
-					}
+				cur := stopAt.Load()
+				if int64(restart) >= cur || stopAt.CompareAndSwap(cur, int64(restart)) {
+					break
 				}
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	for restart := 0; restart < starts; restart++ {
 		r := results[restart]
 		if !r.ran {
@@ -324,7 +300,7 @@ func (s *Searcher) runRestart(ctx context.Context, sp spacingSpace, op power.DVF
 // FindPlacementExhaustive scans the full (s1, s2) grid at the given edge
 // and returns the feasible placement with the lowest peak temperature, for
 // validating the greedy search. For n == 4 the space is the single derived
-// placement. With Config.ParallelWorkers > 1 the grid points are evaluated
+// placement. With Config.SearchWorkers > 1 the grid points are evaluated
 // concurrently over the engine (which deduplicates and memoizes); the
 // reduction is a serial ascending scan, so the chosen placement is
 // independent of worker count.
@@ -352,37 +328,21 @@ func (s *Searcher) FindPlacementExhaustive(n int, edgeMM float64, op power.DVFSP
 			}
 		}
 	}
+	// Once a point fails, later points are skipped: indices are handed out
+	// in ascending order, so every skipped slot lies above a failed one and
+	// the ascending scan below returns that failure first.
 	peaks := make([]float64, len(pls))
 	errs := make([]error, len(pls))
-	workers := s.cfg.ParallelWorkers
-	if workers > len(pls) {
-		workers = len(pls)
-	}
-	if workers <= 1 {
-		for i, pl := range pls {
-			peaks[i], errs[i] = s.peakCtx(ctx, s.cfg.Benchmark, pl, op, p)
-			if errs[i] != nil {
-				return floorplan.Placement{}, 0, false, errs[i]
-			}
+	var failed atomic.Bool
+	fanOut(s.cfg.SearchWorkers, len(pls), func(i int) {
+		if failed.Load() {
+			return
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= len(pls) {
-						return
-					}
-					peaks[i], errs[i] = s.peakCtx(ctx, s.cfg.Benchmark, pls[i], op, p)
-				}
-			}()
+		peaks[i], errs[i] = s.peakCtx(ctx, s.cfg.Benchmark, pls[i], op, p)
+		if errs[i] != nil {
+			failed.Store(true)
 		}
-		wg.Wait()
-	}
+	})
 	bestPeak := math.Inf(1)
 	var bestPl floorplan.Placement
 	found := false
@@ -395,4 +355,35 @@ func (s *Searcher) FindPlacementExhaustive(n int, edgeMM float64, op power.DVFSP
 		}
 	}
 	return bestPl, bestPeak, found, nil
+}
+
+// fanOut runs fn(i) for every i in [0, n) on up to workers goroutines,
+// handing the indices out in ascending order. With one worker (or fewer)
+// it is a plain loop on the caller.
+func fanOut(workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -111,19 +111,12 @@ type Config struct {
 	// not necessarily lead to a local minimum, and a fixed order would
 	// bias the walk); SteepestDescent is provided for the ablation.
 	NeighborPolicy NeighborPolicy
-	// ParallelWorkers bounds the concurrent thermal simulations the
-	// exhaustive placement scan may run (0 or 1 = serial). Each greedy
-	// restart is inherently sequential and ignores this.
-	ParallelWorkers int
-	// SearchWorkers bounds how many greedy restarts run concurrently
-	// (0 or 1 = serial). Results are bit-identical to the serial search for
-	// a fixed Seed: each restart draws from its own RNG stream derived from
-	// the root seed and the winner is selected by restart index, so worker
-	// count only changes wall-clock time. When either SearchWorkers or
-	// ParallelWorkers exceeds 1, the thermal kernel is pinned to a single
-	// thread unless Thermal.KernelThreads is set explicitly — the worker
-	// budget composes as serve pool → search workers → kernel threads, and
-	// only one level should fan out by default.
+	// SearchWorkers bounds how many greedy restarts — or exhaustive-scan
+	// grid points — one search evaluates concurrently (0 or 1 = serial).
+	// Results are bit-identical to the serial search for a fixed Seed: each
+	// restart draws from its own RNG stream derived from the root seed and
+	// the winner is selected by restart (or grid) index, so worker count
+	// only changes wall-clock time.
 	SearchWorkers int
 	// MaxNormCost, when positive, restricts the search to organizations
 	// whose cost is at most this multiple of the single-chip cost (the
@@ -232,9 +225,6 @@ func (c Config) Validate() error {
 	}
 	if c.SearchWorkers < 0 {
 		return fmt.Errorf("org: search workers must be non-negative, got %d", c.SearchWorkers)
-	}
-	if c.ParallelWorkers < 0 {
-		return fmt.Errorf("org: parallel workers must be non-negative, got %d", c.ParallelWorkers)
 	}
 	if err := c.Thermal.Validate(); err != nil {
 		return err

@@ -20,7 +20,7 @@ func TestParallelExhaustiveMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := cfg
-	par.ParallelWorkers = 4
+	par.SearchWorkers = 4
 	pSearcher, err := NewSearcher(par)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestParallelExhaustiveMatchesSerial(t *testing.T) {
 // test's value is in running with -race in CI).
 func TestParallelExhaustiveRepeated(t *testing.T) {
 	cfg := fastConfig(t, "swaptions")
-	cfg.ParallelWorkers = 3
+	cfg.SearchWorkers = 3
 	s, err := NewSearcher(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -36,9 +36,7 @@ func ReferenceSimulate(cfg Config, b perf.Benchmark, pl floorplan.Placement, op 
 	if err != nil {
 		return SimRecord{}, err
 	}
-	tc := cfg.Thermal
-	tc.KernelThreads = 1 // wall-clock knob only; pinned serial for a minimal path
-	model, err := thermal.NewModel(stack, tc)
+	model, err := thermal.NewModel(stack, cfg.Thermal)
 	if err != nil {
 		return SimRecord{}, err
 	}

@@ -46,15 +46,14 @@ type evalKey struct {
 // concurrent use, and so are the Searcher's evaluation methods (PeakC,
 // PeakCWith, Feasible) and read-only accessors. The high-level searches
 // (Optimize, FindPlacement, Baseline, ...) may each be called from any
-// goroutine and internally fan out across Config.SearchWorkers /
-// ParallelWorkers; running two high-level searches on one Searcher at the
+// goroutine and internally fan out across Config.SearchWorkers; running two high-level searches on one Searcher at the
 // same time is also safe, though per-search counters then interleave.
 // WithContext must be called before evaluations begin (it is not
 // synchronized with in-flight calls).
 //
 // Determinism contract: for a fixed Config (seed included), every search
-// result is bit-identical regardless of SearchWorkers, ParallelWorkers,
-// kernel threads, or engine sharing — evaluation values are pure functions
+// result is bit-identical regardless of SearchWorkers or engine sharing —
+// evaluation values are pure functions
 // of their key (see Engine), restart RNG streams derive from the root seed
 // and the restart coordinates rather than a shared sequence, and winners
 // are selected by restart index. Only the effort counters (ThermalSims,

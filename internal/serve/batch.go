@@ -18,9 +18,9 @@ import (
 // cache keys on, so near-duplicate candidates coalesce onto one
 // computation before they ever reach the worker pool: a 64-candidate sweep
 // where 16 geometries are thermally identical runs 16 solves, not 64.
-// Execution respects the worker hierarchy (intra-batch parallelism is
-// bounded by the serve pool; each computation then budgets search workers
-// and kernel threads as usual), and with ?stream=1 per-item completion and
+// Execution respects the worker budget (intra-batch parallelism is bounded
+// by the serve pool; each search then fans out over its search workers as
+// usual), and with ?stream=1 per-item completion and
 // search-progress events stream as SSE instead of one terminal response.
 
 // maxBatchItems bounds one batch after sweep expansion: large enough for

@@ -560,11 +560,14 @@ func TestBatchShedsUnderFullQueue(t *testing.T) {
 	}
 }
 
+// TestSearchWorkersAutoCap pins the search-worker cap to the schedulable
+// Ps, not the CPU count: under GOMAXPROCS(1), extra restart workers would
+// only queue behind each other.
 func TestSearchWorkersAutoCap(t *testing.T) {
-	ncpu := runtime.NumCPU()
-	s := testServer(t, func(o *Options) { o.SearchWorkers = ncpu * 4 })
-	if s.opts.SearchWorkers != ncpu {
-		t.Errorf("daemon search workers = %d, want capped at NumCPU = %d", s.opts.SearchWorkers, ncpu)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := testServer(t, func(o *Options) { o.SearchWorkers = 4 })
+	if s.opts.SearchWorkers != 1 {
+		t.Errorf("daemon search workers = %d under GOMAXPROCS(1), want 1", s.opts.SearchWorkers)
 	}
 
 	// Per-request pins are capped the same way, and the cap never forks the
@@ -577,18 +580,18 @@ func TestSearchWorkersAutoCap(t *testing.T) {
 		}
 		return &req
 	}
-	cfg, keyBig, err := s.resolveSearch(mk(4096))
+	cfg, keyCapped, err := s.resolveSearch(mk(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.SearchWorkers != ncpu {
-		t.Errorf("per-request search workers = %d, want capped at %d", cfg.SearchWorkers, ncpu)
+	if cfg.SearchWorkers != 1 {
+		t.Errorf("a search asking for 4 workers resolved to %d under GOMAXPROCS(1), want 1", cfg.SearchWorkers)
 	}
 	_, keySerial, err := s.resolveSearch(mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keyBig != keySerial {
+	if keyCapped != keySerial {
 		t.Error("worker count forked the canonical search key")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"time"
 
 	"chiplet25d/internal/config"
@@ -183,10 +182,6 @@ type solveSpec struct {
 	fIdx  int
 	cores int
 	gridN int
-	// kthreads is the server's per-solve kernel-thread budget. It is
-	// excluded from cacheKey: thread count never changes the bits of the
-	// result (thermal's determinism contract), only the wall clock.
-	kthreads int
 }
 
 func (req *SolveRequest) resolve(maxGridN int) (*solveSpec, error) {
@@ -241,7 +236,6 @@ func (sp *solveSpec) cacheKey() string {
 func (sp *solveSpec) engineConfig() org.Config {
 	cfg := org.DefaultConfig(sp.bench)
 	cfg.Thermal.Nx, cfg.Thermal.Ny = sp.gridN, sp.gridN
-	cfg.Thermal.KernelThreads = sp.kthreads
 	return cfg
 }
 
@@ -279,7 +273,6 @@ func (s *Server) resolveSolve(req *SolveRequest) (*solveSpec, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	sp.kthreads = s.opts.KernelThreads
 	return sp, sp.cacheKey(), nil
 }
 
@@ -426,14 +419,11 @@ type SearchResponse struct {
 // every field explicitly, so two requests that resolve to the same search
 // share one address regardless of which defaults they spelled out).
 func searchKey(cfg org.Config, exhaustive bool) (string, error) {
-	// Kernel threads, search workers, and scan workers are wall-clock knobs
-	// with bit-identical results (thermal's and org's determinism
-	// contracts), so they must not fork the content-addressed identity of a
-	// search: a serial and a parallel run of the same search share one cache
-	// entry.
-	cfg.Thermal.KernelThreads = 0
+	// Search workers are a wall-clock knob with bit-identical results (org's
+	// determinism contract), so they must not fork the content-addressed
+	// identity of a search: a serial and a parallel run of the same search
+	// share one cache entry.
 	cfg.SearchWorkers = 0
-	cfg.ParallelWorkers = 0
 	var buf bytes.Buffer
 	if err := config.Save(&buf, cfg); err != nil {
 		return "", err
@@ -459,27 +449,11 @@ func (s *Server) resolveSearch(req *SearchRequest) (org.Config, string, error) {
 		// daemon's per-search budget.
 		cfg.SearchWorkers = s.opts.SearchWorkers
 	}
-	if ncpu := runtime.NumCPU(); cfg.SearchWorkers > ncpu {
-		// Same rule as Options.SearchWorkers: restart workers beyond the CPU
-		// count only add scheduling contention, and worker count never
-		// changes the winner (searchKey excludes it), so capping is safe.
-		s.logger.Warn("capping per-request search workers at the CPU count",
-			"requested", cfg.SearchWorkers, "num_cpu", ncpu)
-		cfg.SearchWorkers = ncpu
-	}
+	cfg.SearchWorkers = capSearchWorkers(s.logger, cfg.SearchWorkers)
 	if req.File.SpatialSurrogate == nil && s.opts.SpatialSurrogate {
 		// Requests that do not choose a fidelity policy inherit the daemon's
 		// spatial-tier default (winner-invariant; see Options.SpatialSurrogate).
 		cfg.SpatialSurrogate = true
-	}
-	if cfg.Thermal.KernelThreads == 0 && cfg.SearchWorkers <= 1 && cfg.ParallelWorkers <= 1 {
-		// An explicit kernel_threads in the request wins; otherwise the
-		// worker budget goes to the outermost parallel level only: a serial
-		// search fans out its thermal kernels with the daemon's per-solve
-		// budget, while a parallel search leaves KernelThreads at 0 so
-		// org.NewEngine pins kernels serial (serve pool → search workers →
-		// kernel threads).
-		cfg.Thermal.KernelThreads = s.opts.KernelThreads
 	}
 	key, err := searchKey(cfg, req.Exhaustive)
 	if err != nil {

@@ -66,20 +66,13 @@ type Options struct {
 	Addr string
 	// Workers bounds concurrent solves.
 	Workers int
-	// KernelThreads is the thermal solver's parallel-kernel worker count
-	// per solve. 0 picks max(1, GOMAXPROCS/Workers), so request-level and
-	// kernel-level parallelism compose without oversubscription: a fully
-	// loaded pool runs serial kernels, a lightly-provisioned pool lets each
-	// solve fan out. Thread count never changes results (the kernel is
-	// bit-deterministic), so cached and fresh responses always agree.
-	KernelThreads int
 	// SearchWorkers is the per-search greedy-restart worker count applied to
 	// org-search requests that do not set their own search_workers. 0 picks
-	// max(1, GOMAXPROCS/Workers) — the same budget rule as KernelThreads one
-	// level up: the worker budget composes as serve pool → search workers →
-	// kernel threads, and by default only the outermost loaded level fans
-	// out. Worker count never changes search results (org's determinism
-	// contract), so cached and fresh responses always agree.
+	// max(1, GOMAXPROCS/Workers): the worker budget has two levels, serve
+	// pool → search workers, and a fully loaded pool runs each search
+	// serially. Each thermal solve runs on its caller's goroutine. Worker
+	// count never changes search results (org's determinism contract), so
+	// cached and fresh responses always agree.
 	SearchWorkers int
 	// SpatialSurrogate enables the spatial compact-model fidelity tier by
 	// default for org-search requests that do not set their own
@@ -204,31 +197,29 @@ func (o Options) withDefaults() Options {
 	if o.AuditRingSize == 0 {
 		o.AuditRingSize = d.AuditRingSize
 	}
-	if o.KernelThreads <= 0 {
-		o.KernelThreads = runtime.GOMAXPROCS(0) / o.Workers
-		if o.KernelThreads < 1 {
-			o.KernelThreads = 1
-		}
-	}
 	if o.SearchWorkers <= 0 {
 		o.SearchWorkers = runtime.GOMAXPROCS(0) / o.Workers
 		if o.SearchWorkers < 1 {
 			o.SearchWorkers = 1
 		}
 	}
-	if ncpu := runtime.NumCPU(); o.SearchWorkers > ncpu {
-		// More restart workers than CPUs is pure scheduling overhead: the
-		// restarts are CPU-bound, so oversubscription only adds contention
-		// (benchmarked below 1x serial on a 1-CPU box). Cap and say so —
-		// worker count never changes results, only wall clock.
-		o.Logger.Warn("capping search workers at the CPU count",
-			"requested", o.SearchWorkers, "num_cpu", ncpu)
-		o.SearchWorkers = ncpu
-	}
+	o.SearchWorkers = capSearchWorkers(o.Logger, o.SearchWorkers)
 	if o.PeerTimeout <= 0 {
 		o.PeerTimeout = d.PeerTimeout
 	}
 	return o
+}
+
+// capSearchWorkers bounds a per-search restart worker count at GOMAXPROCS.
+// Restarts are CPU-bound, so workers beyond the schedulable Ps only add
+// contention (benchmarked below 1x serial on a 1-CPU box), and worker count
+// never changes a result, only wall clock. It logs when it caps.
+func capSearchWorkers(logger *slog.Logger, n int) int {
+	if procs := runtime.GOMAXPROCS(0); n > procs {
+		logger.Warn("capping search workers at GOMAXPROCS", "requested", n, "gomaxprocs", procs)
+		return procs
+	}
+	return n
 }
 
 // Server is the chipletd HTTP serving subsystem.

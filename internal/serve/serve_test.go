@@ -334,6 +334,8 @@ func TestSearchBadRequest(t *testing.T) {
 		"warm_start":       `{"benchmark": "swaptions", "warm_start": true}`,
 		"warm_start_cache": `{"benchmark": "swaptions", "warm_start_cache": 8}`,
 		"preconditioner":   `{"benchmark": "swaptions", "preconditioner": "mg"}`,
+		"kernel_threads":   `{"benchmark": "swaptions", "kernel_threads": 2}`,
+		"parallel_workers": `{"benchmark": "swaptions", "parallel_workers": 2}`,
 	} {
 		rec := postJSON(t, s.Handler(), "/v1/org/search", body)
 		if rec.Code != http.StatusBadRequest {

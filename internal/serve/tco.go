@@ -97,9 +97,6 @@ type tcoSpec struct {
 	cores int
 	gridN int
 	pl    floorplan.Placement
-	// kthreads is the server's per-solve kernel-thread budget; excluded
-	// from cacheKey by the same wall-clock rule as solveSpec.
-	kthreads int
 }
 
 func (req *TCORequest) resolve(maxGridN int) (*tcoSpec, error) {
@@ -221,8 +218,7 @@ func (req *TCORequest) resolve(maxGridN int) (*tcoSpec, error) {
 
 // cacheKey is the content address of the elaboration: every resolved model
 // constant participates (the elaboration depends continuously on all of
-// them), plus the spatial-check coordinates when enabled. kthreads is
-// excluded — it changes wall clock only.
+// them), plus the spatial-check coordinates when enabled.
 func (sp *tcoSpec) cacheKey() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf(
 		"tco|v1|node=%s|hs=%g,%g,%g,%g,%g,%g,%g|srv=%g,%g,%g,%d,%g|dc=%g,%g,%g|mfg=%g,%g|lane=%d,%g,%g,%g|check=%v|bench=%s|f=%d|p=%d|grid=%d",
@@ -246,7 +242,6 @@ func (sp *tcoSpec) cacheKey() string {
 func (sp *tcoSpec) engineConfig() org.Config {
 	cfg := org.DefaultConfig(sp.bench)
 	cfg.Thermal.Nx, cfg.Thermal.Ny = sp.gridN, sp.gridN
-	cfg.Thermal.KernelThreads = sp.kthreads
 	cfg.SpatialSurrogate = true
 	return cfg
 }
@@ -264,7 +259,6 @@ func (s *Server) resolveTCO(req *TCORequest) (*tcoSpec, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	sp.kthreads = s.opts.KernelThreads
 	return sp, sp.cacheKey(), nil
 }
 

@@ -1,107 +1,20 @@
 package thermal
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// Parallel kernel primitives for the bandwidth-bound stages of the CG
-// solve: CSR SpMV, dot products, and the axpy-style vector updates. The
-// IC(0) triangular solves are inherently sequential and stay serial.
+// Vector kernels for the bandwidth-bound stages of the CG solve: CSR SpMV,
+// dot products, and the axpy-style vector updates. They run serially on
+// the calling goroutine; parallelism lives one level up, in chipletd's
+// request pool and the organizer's restart fan-out (DESIGN.md "Worker
+// budget").
 //
-// Determinism contract: the temperature field produced by a solve is
-// bit-identical for every kernel thread count, including 1. Two rules
-// enforce this:
-//
-//   - fixed striping: vectors are cut into stripes of kernelStripeRows
-//     rows, a function of the problem size only. Any worker may compute any
-//     stripe (work is handed out through an atomic counter), but a stripe's
-//     arithmetic is a fixed sequential loop and writes only its own rows or
-//     its own partial-sum slot, so the assignment of stripes to workers
-//     cannot influence any result bit.
-//   - deterministic reduction: dot products accumulate one partial sum per
-//     stripe into a fixed slot, and the partials are folded by a pairwise
-//     halving reduction on the calling goroutine — a fixed tree shape per
-//     stripe count, never "whoever finishes first".
-//
-// The serial path runs the identical striped code on the caller, so serial
-// and parallel solves agree bit-for-bit, which keeps chipletd's
-// content-addressed cache and the golden tests valid regardless of the
-// -kernel-threads setting.
+// Summation order: every reduction accumulates one partial sum per stripe
+// of kernelStripeRows rows, in ascending row order, and reduceParts folds
+// the partials with a fixed pairwise halving tree. A plain left-to-right
+// sum would round differently; the stripes and the tree fix the summation
+// order that the committed goldens and the cache entries were recorded
+// with.
 
-// kernelStripeRows is the stripe granularity. A var, not a const, so the
-// equality tests can shrink it and exercise multi-stripe scheduling on the
-// small grids the test suite can afford.
-var kernelStripeRows = 1024
-
-// parallelMinNodes gates the worker team: systems smaller than this solve
-// serially, where the dispatch overhead would dominate. Small test grids
-// (16x16: ~1.5k nodes) stay serial; the paper's production 64x64 stack
-// (~25k nodes) engages the team.
-var parallelMinNodes = 4096
-
-var kernelThreadsDefault atomic.Int32
-
-func init() {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8 // past ~8 threads the kernel is memory-bandwidth bound
-	}
-	kernelThreadsDefault.Store(int32(n))
-}
-
-// SetKernelThreads sets the package-default worker count for the parallel
-// solver kernel (clamped to >= 1). Models whose Config.KernelThreads is 0
-// pick this default up at solve time. It can be changed at any moment —
-// the thread count never affects results, only wall-clock time.
-func SetKernelThreads(n int) {
-	if n < 1 {
-		n = 1
-	}
-	kernelThreadsDefault.Store(int32(n))
-}
-
-// KernelThreads returns the package-default kernel worker count.
-func KernelThreads() int { return int(kernelThreadsDefault.Load()) }
-
-// kernelJob is one helper's share of a striped operation.
-type kernelJob struct {
-	fn func()
-	wg *sync.WaitGroup
-}
-
-// The persistent worker team. Workers are spawned lazily up to the largest
-// helper count ever requested and live for the process lifetime, so
-// steady-state solves pay one channel send per helper per operation and
-// never a goroutine spawn.
-var kernelTeam struct {
-	mu   sync.Mutex
-	size int
-	jobs chan kernelJob
-}
-
-func kernelWorker(jobs <-chan kernelJob) {
-	for j := range jobs {
-		j.fn()
-		j.wg.Done()
-	}
-}
-
-// teamJobs returns the shared job channel, growing the team to at least n
-// workers.
-func teamJobs(n int) chan kernelJob {
-	kernelTeam.mu.Lock()
-	defer kernelTeam.mu.Unlock()
-	if kernelTeam.jobs == nil {
-		kernelTeam.jobs = make(chan kernelJob)
-	}
-	for kernelTeam.size < n {
-		go kernelWorker(kernelTeam.jobs)
-		kernelTeam.size++
-	}
-	return kernelTeam.jobs
-}
+// kernelStripeRows is the stripe granularity of the partial sums.
+const kernelStripeRows = 1024
 
 // numStripes returns the stripe count for an n-row vector.
 func numStripes(n int) int {
@@ -116,41 +29,6 @@ func stripeBounds(s, n int) (int, int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// runStriped executes body(s) for every stripe s in [0, nStripes) using up
-// to threads goroutines (the caller included). Stripes are handed out
-// through an atomic counter; body must be safe to run concurrently for
-// distinct stripes.
-func runStriped(threads, nStripes int, body func(s int)) {
-	if threads > nStripes {
-		threads = nStripes
-	}
-	if threads <= 1 {
-		for s := 0; s < nStripes; s++ {
-			body(s)
-		}
-		return
-	}
-	var next atomic.Int32
-	loop := func() {
-		for {
-			s := int(next.Add(1)) - 1
-			if s >= nStripes {
-				return
-			}
-			body(s)
-		}
-	}
-	helpers := threads - 1
-	jobs := teamJobs(helpers)
-	var wg sync.WaitGroup
-	wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		jobs <- kernelJob{fn: loop, wg: &wg}
-	}
-	loop() // the caller works too
-	wg.Wait()
 }
 
 // reduceParts folds per-stripe partial sums with a pairwise halving tree —
@@ -170,32 +48,27 @@ func reduceParts(parts []float64) float64 {
 	return parts[0]
 }
 
-// spmvStriped computes y = A·x for A = diag(diag) + mat, one row sweep per
-// stripe. When w is non-nil it also accumulates parts[s] = Σ w[i]·y[i]
-// over the stripe's rows, fusing the dot product CG needs right after the
-// SpMV (pᵀ·A·p) into the same memory pass.
-// The stripe bodies below shadow their captures into closure-local
-// variables before the hot loops: closed-over slices live in a heap context
-// the compiler must conservatively reload around stores, and on these
-// bandwidth-bound loops the reloads cost ~40%.
-func spmvStriped(threads int, diag []float64, mat *csrMatrix, y, x, w, parts []float64) {
+// spmvStriped computes y = A·x for A = diag(diag) + mat. When w is non-nil
+// it also accumulates parts[s] = Σ w[i]·y[i] over each stripe's rows,
+// fusing the dot product CG needs right after the SpMV (pᵀ·A·p) into the
+// same memory pass.
+func spmvStriped(diag []float64, mat *csrMatrix, y, x, w, parts []float64) {
 	n := len(y)
-	runStriped(threads, numStripes(n), func(st int) {
-		lo, hi := stripeBounds(st, n)
-		rowPtr, colIdx, vals := mat.rowPtr, mat.colIdx, mat.vals
-		diag, x, y := diag, x, y
-		if w == nil {
-			for i := lo; i < hi; i++ {
-				s := diag[i] * x[i]
-				end := rowPtr[i+1]
-				for idx := rowPtr[i]; idx < end; idx++ {
-					s += vals[idx] * x[colIdx[idx]]
-				}
-				y[i] = s
+	rowPtr, colIdx, vals := mat.rowPtr, mat.colIdx, mat.vals
+	if w == nil {
+		for i := 0; i < n; i++ {
+			s := diag[i] * x[i]
+			end := rowPtr[i+1]
+			for idx := rowPtr[i]; idx < end; idx++ {
+				s += vals[idx] * x[colIdx[idx]]
 			}
-			return
+			y[i] = s
 		}
-		w, acc := w, 0.0
+		return
+	}
+	for st := range numStripes(n) {
+		lo, hi := stripeBounds(st, n)
+		acc := 0.0
 		for i := lo; i < hi; i++ {
 			s := diag[i] * x[i]
 			end := rowPtr[i+1]
@@ -206,31 +79,29 @@ func spmvStriped(threads int, diag []float64, mat *csrMatrix, y, x, w, parts []f
 			acc += w[i] * s
 		}
 		parts[st] = acc
-	})
+	}
 }
 
 // residualStriped computes r = b - ap and parts[s] = Σ b[i]² per stripe.
-func residualStriped(threads int, r, b, ap, parts []float64) {
+func residualStriped(r, b, ap, parts []float64) {
 	n := len(r)
-	runStriped(threads, numStripes(n), func(st int) {
+	for st := range numStripes(n) {
 		lo, hi := stripeBounds(st, n)
-		r, b, ap := r, b, ap
 		acc := 0.0
 		for i := lo; i < hi; i++ {
 			r[i] = b[i] - ap[i]
 			acc += b[i] * b[i]
 		}
 		parts[st] = acc
-	})
+	}
 }
 
 // updateStriped applies the fused CG step x += α·p, r -= α·ap and
 // accumulates parts[s] = Σ r[i]² in the same pass.
-func updateStriped(threads int, alpha float64, x, p, r, ap, parts []float64) {
+func updateStriped(alpha float64, x, p, r, ap, parts []float64) {
 	n := len(x)
-	runStriped(threads, numStripes(n), func(st int) {
+	for st := range numStripes(n) {
 		lo, hi := stripeBounds(st, n)
-		x, p, r, ap := x, p, r, ap
 		acc := 0.0
 		for i := lo; i < hi; i++ {
 			x[i] += alpha * p[i]
@@ -239,31 +110,25 @@ func updateStriped(threads int, alpha float64, x, p, r, ap, parts []float64) {
 			acc += ri * ri
 		}
 		parts[st] = acc
-	})
+	}
 }
 
 // dotStriped accumulates parts[s] = Σ a[i]·b[i] per stripe.
-func dotStriped(threads int, a, b, parts []float64) {
+func dotStriped(a, b, parts []float64) {
 	n := len(a)
-	runStriped(threads, numStripes(n), func(st int) {
+	for st := range numStripes(n) {
 		lo, hi := stripeBounds(st, n)
-		a, b := a, b
 		acc := 0.0
 		for i := lo; i < hi; i++ {
 			acc += a[i] * b[i]
 		}
 		parts[st] = acc
-	})
+	}
 }
 
-// combineStriped computes the CG direction update p = z + β·p.
-func combineStriped(threads int, beta float64, p, z []float64) {
-	n := len(p)
-	runStriped(threads, numStripes(n), func(st int) {
-		lo, hi := stripeBounds(st, n)
-		p, z := p, z
-		for i := lo; i < hi; i++ {
-			p[i] = z[i] + beta*p[i]
-		}
-	})
+// combine computes the CG direction update p = z + β·p.
+func combine(beta float64, p, z []float64) {
+	for i := range p {
+		p[i] = z[i] + beta*p[i]
+	}
 }

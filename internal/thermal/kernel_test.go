@@ -13,7 +13,7 @@ import (
 
 // gridModel builds a model over the paper's 4x4 uniform-grid organization
 // at the given resolution, with the power map driving it.
-func gridModel(t testing.TB, nx, kernelThreads int) (*Model, []float64) {
+func gridModel(t testing.TB, nx int) (*Model, []float64) {
 	t.Helper()
 	pl, err := floorplan.UniformGrid(4, 4)
 	if err != nil {
@@ -25,7 +25,6 @@ func gridModel(t testing.TB, nx, kernelThreads int) (*Model, []float64) {
 	}
 	cfg := DefaultConfig()
 	cfg.Nx, cfg.Ny = nx, nx
-	cfg.KernelThreads = kernelThreads
 	m, err := NewModel(stack, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,83 +36,12 @@ func gridModel(t testing.TB, nx, kernelThreads int) (*Model, []float64) {
 	return m, pmap
 }
 
-// forceStriping shrinks the stripe size and parallel gate so small test
-// grids exercise multi-stripe scheduling, restoring both on cleanup.
-func forceStriping(t testing.TB, stripeRows, minNodes int) {
-	t.Helper()
-	oldStripe, oldGate := kernelStripeRows, parallelMinNodes
-	kernelStripeRows, parallelMinNodes = stripeRows, minNodes
-	t.Cleanup(func() { kernelStripeRows, parallelMinNodes = oldStripe, oldGate })
-}
-
-// TestKernelSerialParallelEquality is the golden determinism test: the
-// temperature field must be bit-identical across every kernel thread
-// count — including more workers than stripes — at several grid sizes.
-func TestKernelSerialParallelEquality(t *testing.T) {
-	forceStriping(t, 8, 1)
-	for _, nx := range []int{8, 16, 32} {
-		serial, pmap := gridModel(t, nx, 1)
-		ref, err := serial.Solve(pmap)
-		if err != nil {
-			t.Fatalf("nx=%d serial solve: %v", nx, err)
-		}
-		for _, threads := range []int{2, 3, 5, 64} {
-			m, _ := gridModel(t, nx, threads)
-			got, err := m.Solve(pmap)
-			if err != nil {
-				t.Fatalf("nx=%d threads=%d solve: %v", nx, threads, err)
-			}
-			if got.Iterations != ref.Iterations {
-				t.Errorf("nx=%d threads=%d: %d iterations, serial took %d",
-					nx, threads, got.Iterations, ref.Iterations)
-			}
-			for i := range ref.T {
-				if got.T[i] != ref.T[i] { // bitwise, not approximate
-					t.Fatalf("nx=%d threads=%d: T[%d] = %v, serial %v",
-						nx, threads, i, got.T[i], ref.T[i])
-				}
-			}
-		}
-	}
-}
-
-// TestTransientSerialParallelEquality extends the golden contract to the
-// shifted-diagonal transient stepper, which shares the striped kernels.
-func TestTransientSerialParallelEquality(t *testing.T) {
-	forceStriping(t, 8, 1)
-	run := func(threads int) []float64 {
-		m, pmap := gridModel(t, 16, threads)
-		ts, err := m.NewTransientSolver(1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			if _, err := ts.Step(pmap); err != nil {
-				t.Fatalf("threads=%d step %d: %v", threads, i, err)
-			}
-		}
-		out := make([]float64, len(ts.T))
-		copy(out, ts.T)
-		return out
-	}
-	ref := run(1)
-	for _, threads := range []int{2, 7} {
-		got := run(threads)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("threads=%d: T[%d] = %v, serial %v", threads, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
 // TestConcurrentSolves hammers one model from many goroutines (run under
 // -race in CI): the workspace and solution pools must isolate concurrent
-// solves, and every result must match the single-threaded reference
+// solves, and every result must match the sequential reference
 // bit-for-bit.
 func TestConcurrentSolves(t *testing.T) {
-	forceStriping(t, 16, 1)
-	m, pmap := gridModel(t, 16, 2)
+	m, pmap := gridModel(t, 16)
 	ref, err := m.Solve(pmap)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +83,7 @@ func TestSolveWarmSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget holds only uninstrumented")
 	}
-	m, pmap := gridModel(t, 32, 1)
+	m, pmap := gridModel(t, 32)
 	prev, err := m.Solve(pmap)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +107,7 @@ func TestSolveWarmSteadyStateAllocBudget(t *testing.T) {
 // TestSolveMultiCtx covers the satellite path: cancellation propagates and
 // the solve runs under a "thermal.cg" span like SolveWarmCtx does.
 func TestSolveMultiCtx(t *testing.T) {
-	m, pmap := gridModel(t, 16, 1)
+	m, pmap := gridModel(t, 16)
 	chipLayer := m.ChipLayerOffset() / m.nCells
 	perLayer := map[int][]float64{chipLayer: pmap}
 
@@ -225,7 +153,7 @@ func TestSolveMultiCtx(t *testing.T) {
 // TestSolveMultiCtxRejectsBadInput keeps the validation of the old
 // SolveMulti path intact after the ctx rewiring.
 func TestSolveMultiCtxRejectsBadInput(t *testing.T) {
-	m, pmap := gridModel(t, 16, 1)
+	m, pmap := gridModel(t, 16)
 	ctx := context.Background()
 	if _, err := m.SolveMultiCtx(ctx, map[int][]float64{-1: pmap}); err == nil {
 		t.Error("expected error for negative layer")
@@ -245,7 +173,7 @@ func TestSolveMultiCtxRejectsBadInput(t *testing.T) {
 
 // TestRecycleTwice guards the at-most-once contract.
 func TestRecycleTwice(t *testing.T) {
-	m, pmap := gridModel(t, 16, 1)
+	m, pmap := gridModel(t, 16)
 	res, err := m.Solve(pmap)
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +185,8 @@ func TestRecycleTwice(t *testing.T) {
 	}
 }
 
-func benchSolveWarm(b *testing.B, nx, threads int) {
-	m, pmap := gridModel(b, nx, threads)
+func benchSolveWarm(b *testing.B, nx int) {
+	m, pmap := gridModel(b, nx)
 	prev, err := m.Solve(pmap)
 	if err != nil {
 		b.Fatal(err)
@@ -275,15 +203,13 @@ func benchSolveWarm(b *testing.B, nx, threads int) {
 	}
 }
 
-func BenchmarkSolveWarmGrid64Serial(b *testing.B)   { benchSolveWarm(b, 64, 1) }
-func BenchmarkSolveWarmGrid64Threads2(b *testing.B) { benchSolveWarm(b, 64, 2) }
-func BenchmarkSolveWarmGrid64Threads4(b *testing.B) { benchSolveWarm(b, 64, 4) }
+func BenchmarkSolveWarmGrid64Serial(b *testing.B) { benchSolveWarm(b, 64) }
 
-// BenchmarkSpmvStriped times one serial pass of the CSR SpMV at the
+// BenchmarkSpmvStriped times one pass of the CSR SpMV at the
 // production grid — the bandwidth-bound inner kernel of every CG
 // iteration.
 func BenchmarkSpmvStriped(b *testing.B) {
-	m, _ := gridModel(b, 64, 1)
+	m, _ := gridModel(b, 64)
 	x := make([]float64, m.nNodes)
 	y := make([]float64, m.nNodes)
 	for i := range x {
@@ -291,14 +217,14 @@ func BenchmarkSpmvStriped(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spmvStriped(1, m.diag, m.csr, y, x, nil, nil)
+		spmvStriped(m.diag, m.csr, y, x, nil, nil)
 	}
 }
 
 // BenchmarkICApply times one IC(0) forward+backward substitution, the
 // serial latency-bound half of a CG iteration.
 func BenchmarkICApply(b *testing.B) {
-	m, _ := gridModel(b, 64, 1)
+	m, _ := gridModel(b, 64)
 	r := make([]float64, m.nNodes)
 	z := make([]float64, m.nNodes)
 	for i := range r {

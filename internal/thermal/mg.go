@@ -50,14 +50,11 @@ import (
 // many iterations resolving on a 64x64 stack. The coarse levels solve
 // exactly those modes.
 //
-// Determinism: the parallel vector stages of the V-cycle (residual,
-// restriction, prolongation) run through the striped kernel primitives of
-// kernel.go — fixed stripes, gather-only loops, writes confined to a
-// stripe's own rows — while the smoother sweeps and the coarsest direct
-// solve are serial loops in fixed row order (exactly like the IC(0)
-// triangular solves they replace). The preconditioner therefore inherits
-// the kernel's contract: bit-identical results at every kernel thread
-// count.
+// Determinism: every stage of the V-cycle (smoother sweeps, residual,
+// restriction, prolongation, the coarsest direct solve) is a serial loop in
+// fixed row order, exactly like the IC(0) triangular solves it replaces,
+// and the one reduction (the r·z product) goes through the striped
+// partial sums of kernel.go.
 //
 // Symmetry: the post-smoother (backward sweep) is the adjoint of the
 // pre-smoother (forward sweep), restriction is the transpose of
@@ -98,21 +95,20 @@ const (
 // cgPre is what the CG iteration needs from a preconditioner: overwrite z
 // with M~·r and return the fused inner product sum(r[i]*z[i]).
 type cgPre interface {
-	precondApply(threads int, ws *workspace, z, r []float64) float64
+	precondApply(ws *workspace, z, r []float64) float64
 }
 
-// precondApply adapts the IC(0) preconditioner to the cgPre interface. The
-// triangular sweeps are inherently sequential, so the thread count and
-// workspace are unused.
-func (ic *icPreconditioner) precondApply(_ int, _ *workspace, z, r []float64) float64 {
+// precondApply adapts the IC(0) preconditioner to the cgPre interface; the
+// workspace is unused.
+func (ic *icPreconditioner) precondApply(_ *workspace, z, r []float64) float64 {
 	return ic.apply(z, r)
 }
 
 // transferOp is one inter-grid transfer: the cell-centered bilinear
 // prolongation P stored as CSR over fine rows (ascending columns, at most
 // four entries per row), plus its counting-sorted transpose so restriction
-// (P') is a gather over coarse rows — no scattered writes, which is what
-// lets both directions run striped without breaking determinism.
+// (P') is a gather over coarse rows — no scattered writes in either
+// direction.
 type transferOp struct {
 	nFine, nCoarse int
 
@@ -422,7 +418,7 @@ func (t *transferOp) buildTranspose() {
 // walks the fine rows restricting into jc (the transpose of P), scatters
 // each fine row of A through P into a dense accumulator, and compacts the
 // touched columns into the same split diag + off-diagonal CSR layout the
-// fine operator uses, so the coarse SpMV reuses spmvStriped unchanged.
+// fine operator uses, so the coarse SpMV reuses the fine kernels unchanged.
 // composeTransfers returns the product transfer a then b: fine rows of a
 // mapped through b's coarsening, so two geometric coarsenings collapse into
 // a single level. The hierarchy uses it to fuse the vertical aggregation
@@ -869,27 +865,20 @@ func (ls *lineSmoother) backward(pointDinv, bz, xz, x, b []float64) {
 	ls.unpackZ(x, xz)
 }
 
-// blockUpperResidualStriped computes the residual after forwardZero. Each
-// block is solved exactly against the earlier blocks' final values, so the
+// blockUpperResidual computes the residual after forwardZero. Each block
+// is solved exactly against the earlier blocks' final values, so the
 // residual reduces to the later-block couplings alone: r = −ub·x, a plain
-// branch-free gather over the prebuilt split. Gather-only over a stripe's
-// own rows.
-func blockUpperResidualStriped(threads int, ls *lineSmoother, r, x []float64) {
-	n := ls.ub.n
-	runStriped(threads, numStripes(n), func(st int) {
-		lo, hi := stripeBounds(st, n)
-		r, x := r, x
-		for i := lo; i < hi; i++ {
-			r[i] = gatherRow(ls.ub, i, x)
-		}
-	})
+// branch-free gather over the prebuilt split.
+func blockUpperResidual(ls *lineSmoother, r, x []float64) {
+	for i := range ls.ub.n {
+		r[i] = gatherRow(ls.ub, i, x)
+	}
 }
 
 // gsForwardZero runs one forward Gauss–Seidel sweep from a zero initial
 // guess: ascending rows, x[i] = (b[i] − Σ_{j<i} a_ij·x[j]) / a_ii. Entries
 // with j > i multiply a still-zero x[j], and the CSR columns are sorted,
-// so the sweep stops at each row's lower-triangle prefix. Serial in fixed
-// row order — deterministic at every kernel thread count.
+// so the sweep stops at each row's lower-triangle prefix.
 func gsForwardZero(dinv []float64, mat *csrMatrix, x, b []float64) {
 	n := mat.n
 	rowPtr, colIdx, vals := mat.rowPtr, mat.colIdx, mat.vals
@@ -1104,7 +1093,7 @@ func (mg *mgPreconditioner) getScratch() *mgScratch {
 // vcycle runs one V(1,1) cycle at level k, overwriting x with the cycle's
 // approximation to A~·b (x needs no zeroing: the pre-smooth from a zero
 // initial guess writes every entry).
-func (mg *mgPreconditioner) vcycle(th, k int, sc *mgScratch, x, b []float64) {
+func (mg *mgPreconditioner) vcycle(k int, sc *mgScratch, x, b []float64) {
 	if k == len(mg.levels) {
 		mg.coarse.solve(x, b)
 		return
@@ -1113,15 +1102,15 @@ func (mg *mgPreconditioner) vcycle(th, k int, sc *mgScratch, x, b []float64) {
 	r := sc.ax[k]
 	if lv.line != nil {
 		lv.line.forwardZero(lv.dinv, sc.bz, sc.xz, x, b)
-		blockUpperResidualStriped(th, lv.line, r, x)
+		blockUpperResidual(lv.line, r, x)
 	} else {
 		gsForwardZero(lv.dinv, lv.mat, x, b)
-		upperResidualStriped(th, lv.mat, r, x)
+		upperResidual(lv.mat, r, x)
 	}
 	bc, xc := sc.b[k+1], sc.x[k+1]
-	restrictStriped(th, lv.down, bc, r)
-	mg.vcycle(th, k+1, sc, xc, bc)
-	prolongAddStriped(th, lv.down, x, xc)
+	restrict(lv.down, bc, r)
+	mg.vcycle(k+1, sc, xc, bc)
+	prolongAdd(lv.down, x, xc)
 	if lv.line != nil {
 		lv.line.backward(lv.dinv, sc.bz, sc.xz, x, b)
 	} else {
@@ -1132,76 +1121,59 @@ func (mg *mgPreconditioner) vcycle(th, k int, sc *mgScratch, x, b []float64) {
 // precondApply runs one V-cycle (z = M~·r) and returns the fused r·z inner
 // product through the workspace's per-stripe slots, mirroring the IC(0)
 // apply contract.
-func (mg *mgPreconditioner) precondApply(threads int, ws *workspace, z, r []float64) float64 {
+func (mg *mgPreconditioner) precondApply(ws *workspace, z, r []float64) float64 {
 	sc := mg.getScratch()
-	mg.vcycle(threads, 0, sc, z, r)
+	mg.vcycle(0, sc, z, r)
 	mg.scratch.Put(sc)
-	dotStriped(threads, r, z, ws.parts)
+	dotStriped(r, z, ws.parts)
 	return reduceParts(ws.parts)
 }
 
-// upperResidualStriped computes the residual after a forward Gauss–Seidel
-// sweep from zero. That sweep makes every lower-triangle-plus-diagonal row
-// sum land exactly on b[i], so the residual collapses to r = −U·x, the
-// strict upper triangle alone — half an SpMV instead of a full one, at
-// every level of the cycle. Gather-only over a stripe's own rows, like the
-// other striped stages.
-func upperResidualStriped(threads int, mat *csrMatrix, r, x []float64) {
-	n := mat.n
-	runStriped(threads, numStripes(n), func(st int) {
-		lo, hi := stripeBounds(st, n)
-		rowPtr, colIdx, vals := mat.rowPtr, mat.colIdx, mat.vals
-		r, x := r, x
-		for i := lo; i < hi; i++ {
-			s := 0.0
-			end := rowPtr[i+1]
-			for idx := rowPtr[i]; idx < end; idx++ {
-				j := colIdx[idx]
-				if int(j) <= i {
-					continue
-				}
-				s -= vals[idx] * x[j]
+// upperResidual computes the residual after a forward Gauss–Seidel sweep
+// from zero. That sweep makes every lower-triangle-plus-diagonal row sum
+// land exactly on b[i], so the residual collapses to r = −U·x, the strict
+// upper triangle alone — half an SpMV instead of a full one, at every
+// level of the cycle.
+func upperResidual(mat *csrMatrix, r, x []float64) {
+	rowPtr, colIdx, vals := mat.rowPtr, mat.colIdx, mat.vals
+	for i := range mat.n {
+		s := 0.0
+		end := rowPtr[i+1]
+		for idx := rowPtr[i]; idx < end; idx++ {
+			j := colIdx[idx]
+			if int(j) <= i {
+				continue
 			}
-			r[i] = s
+			s -= vals[idx] * x[j]
 		}
-	})
+		r[i] = s
+	}
 }
 
-// restrictStriped computes the full-weighting restriction rc = P'·r,
-// gathering through the transpose arrays so each stripe writes only its
-// own coarse rows.
-func restrictStriped(threads int, t *transferOp, rc, r []float64) {
-	n := t.nCoarse
-	runStriped(threads, numStripes(n), func(st int) {
-		lo, hi := stripeBounds(st, n)
-		tPtr, tIdx, tW := t.tPtr, t.tIdx, t.tW
-		rc, r := rc, r
-		for j := lo; j < hi; j++ {
-			s := 0.0
-			end := tPtr[j+1]
-			for q := tPtr[j]; q < end; q++ {
-				s += tW[q] * r[tIdx[q]]
-			}
-			rc[j] = s
+// restrict computes the full-weighting restriction rc = P'·r, gathering
+// through the transpose arrays.
+func restrict(t *transferOp, rc, r []float64) {
+	tPtr, tIdx, tW := t.tPtr, t.tIdx, t.tW
+	for j := range t.nCoarse {
+		s := 0.0
+		end := tPtr[j+1]
+		for q := tPtr[j]; q < end; q++ {
+			s += tW[q] * r[tIdx[q]]
 		}
-	})
+		rc[j] = s
+	}
 }
 
-// prolongAddStriped adds the bilinear prolongation of the coarse
-// correction, x += P·e — a gather over fine rows.
-func prolongAddStriped(threads int, t *transferOp, x, e []float64) {
-	n := t.nFine
-	runStriped(threads, numStripes(n), func(st int) {
-		lo, hi := stripeBounds(st, n)
-		rowPtr, colIdx, w := t.rowPtr, t.colIdx, t.w
-		x, e := x, e
-		for i := lo; i < hi; i++ {
-			s := 0.0
-			end := rowPtr[i+1]
-			for idx := rowPtr[i]; idx < end; idx++ {
-				s += w[idx] * e[colIdx[idx]]
-			}
-			x[i] += s
+// prolongAdd adds the bilinear prolongation of the coarse correction,
+// x += P·e — a gather over fine rows.
+func prolongAdd(t *transferOp, x, e []float64) {
+	rowPtr, colIdx, w := t.rowPtr, t.colIdx, t.w
+	for i := range t.nFine {
+		s := 0.0
+		end := rowPtr[i+1]
+		for idx := rowPtr[i]; idx < end; idx++ {
+			s += w[idx] * e[colIdx[idx]]
 		}
-	})
+		x[i] += s
+	}
 }

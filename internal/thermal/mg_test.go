@@ -16,9 +16,9 @@ func forced(t testing.TB, m *Model, name string) *Model {
 
 // mgModel builds the same uniform-grid test model as gridModel but with the
 // multigrid preconditioner forced, whatever the grid size.
-func mgModel(t testing.TB, nx, kernelThreads int) (*Model, []float64) {
+func mgModel(t testing.TB, nx int) (*Model, []float64) {
 	t.Helper()
-	m, pmap := gridModel(t, nx, kernelThreads)
+	m, pmap := gridModel(t, nx)
 	return forced(t, m, PrecondMG), pmap
 }
 
@@ -27,15 +27,15 @@ func mgModel(t testing.TB, nx, kernelThreads int) (*Model, []float64) {
 // coarsener declines on a grid too small to halve.
 func TestMGSelectedAndFallback(t *testing.T) {
 	for nx, want := range map[int]string{8: PrecondIC0, 16: PrecondIC0, 32: PrecondMG, 64: PrecondMG} {
-		m, _ := gridModel(t, nx, 1)
+		m, _ := gridModel(t, nx)
 		if got := m.PreconditionerName(); got != want {
 			t.Errorf("%dx%d: using %q, want %q", nx, nx, got, want)
 		}
 	}
-	if m, _ := mgModel(t, 16, 1); m.PreconditionerName() != PrecondMG {
+	if m, _ := mgModel(t, 16); m.PreconditionerName() != PrecondMG {
 		t.Errorf("16x16 forced to mg: using %q", m.PreconditionerName())
 	}
-	m, _ := gridModel(t, 4, 1)
+	m, _ := gridModel(t, 4)
 	if err := m.ForcePreconditionerForVerify(PrecondMG); err == nil {
 		t.Error("4x4 forced to mg: want an error, got nil")
 	}
@@ -69,7 +69,7 @@ func tightTolerance(t testing.TB, m *Model) *Model {
 
 func TestMGMatchesIC0(t *testing.T) {
 	for _, nx := range []int{16, 32} {
-		ref, pmap := gridModel(t, nx, 1)
+		ref, pmap := gridModel(t, nx)
 		ref = forced(t, tightTolerance(t, ref), PrecondIC0)
 		want, err := ref.Solve(pmap)
 		if err != nil {
@@ -93,37 +93,6 @@ func TestMGMatchesIC0(t *testing.T) {
 	}
 }
 
-// TestMGSerialParallelEquality extends the golden determinism test to the
-// multigrid path: bit-identical fields at kernel threads {1, 2, 4} with
-// striping forced on, per the kernel.go contract.
-func TestMGSerialParallelEquality(t *testing.T) {
-	forceStriping(t, 8, 1)
-	for _, nx := range []int{16, 32} {
-		serial, pmap := mgModel(t, nx, 1)
-		ref, err := serial.Solve(pmap)
-		if err != nil {
-			t.Fatalf("nx=%d serial mg solve: %v", nx, err)
-		}
-		for _, threads := range []int{2, 4} {
-			m, _ := mgModel(t, nx, threads)
-			got, err := m.Solve(pmap)
-			if err != nil {
-				t.Fatalf("nx=%d threads=%d mg solve: %v", nx, threads, err)
-			}
-			if got.Iterations != ref.Iterations {
-				t.Errorf("nx=%d threads=%d: %d iterations, serial took %d",
-					nx, threads, got.Iterations, ref.Iterations)
-			}
-			for i := range ref.T {
-				if got.T[i] != ref.T[i] { // bitwise, not approximate
-					t.Fatalf("nx=%d threads=%d: T[%d] = %v, serial %v",
-						nx, threads, i, got.T[i], ref.T[i])
-				}
-			}
-		}
-	}
-}
-
 // TestMGIterationBudget64 is the CG-iteration gate ci.sh runs: the cold
 // 64x64 multigrid solve must converge within a pinned iteration budget.
 // The hierarchy currently converges the production grid in 7 iterations
@@ -132,7 +101,7 @@ func TestMGSerialParallelEquality(t *testing.T) {
 // the preconditioner (a broken transfer or smoother typically costs 5-10x,
 // not 1.7x).
 func TestMGIterationBudget64(t *testing.T) {
-	m, pmap := mgModel(t, 64, 0)
+	m, pmap := mgModel(t, 64)
 	res, err := m.Solve(pmap)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +135,7 @@ func TestMGTransferRowSums(t *testing.T) {
 // TestMGGalerkinSymmetric checks the assembled coarse operator is exactly
 // symmetric (the symmetrization pass is what CG's theory assumes).
 func TestMGGalerkinSymmetric(t *testing.T) {
-	m, _ := mgModel(t, 16, 1)
+	m, _ := mgModel(t, 16)
 	if m.mg == nil {
 		t.Fatal("multigrid not built")
 	}
@@ -214,9 +183,9 @@ func solveCold(t *testing.T, m *Model, pmap []float64) *Result {
 // different-geometry model. The seed must be ignored (cold start), never
 // used at the wrong length.
 func TestSolveWarmWrongGeometry(t *testing.T) {
-	small, smallPmap := gridModel(t, 16, 1)
+	small, smallPmap := gridModel(t, 16)
 	prev := solveCold(t, small, smallPmap)
-	m, pmap := gridModel(t, 32, 1)
+	m, pmap := gridModel(t, 32)
 	want := solveCold(t, m, pmap)
 	got, err := m.SolveWarm(pmap, prev)
 	if err != nil {
@@ -232,7 +201,7 @@ func TestSolveWarmWrongGeometry(t *testing.T) {
 // TestSolveWarmRecycledResult feeds SolveWarm an already-recycled Result
 // (T == nil): it must behave exactly like a cold start.
 func TestSolveWarmRecycledResult(t *testing.T) {
-	m, pmap := gridModel(t, 16, 1)
+	m, pmap := gridModel(t, 16)
 	want := solveCold(t, m, pmap)
 	prev := solveCold(t, m, pmap)
 	prev.Recycle()
@@ -251,7 +220,7 @@ func TestSolveWarmRecycledResult(t *testing.T) {
 // Inf). The solver must reject the seed and converge from ambient — a NaN
 // reaching the Krylov recurrence would otherwise poison the entire field.
 func TestSolveSeededNaNSeed(t *testing.T) {
-	m, pmap := gridModel(t, 16, 1)
+	m, pmap := gridModel(t, 16)
 	want := solveCold(t, m, pmap)
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		seed := make([]float64, m.NumNodes())
@@ -274,7 +243,7 @@ func TestSolveSeededNaNSeed(t *testing.T) {
 // must converge to the same fixed point as the cold solve within the
 // tolerance error floor, in fewer iterations.
 func TestSolveSeededNeighborField(t *testing.T) {
-	m, pmap := gridModel(t, 32, 1)
+	m, pmap := gridModel(t, 32)
 	m = tightTolerance(t, m)
 	want := solveCold(t, m, pmap)
 	// The neighbor here shares the model: the operator is unchanged and
@@ -321,7 +290,7 @@ func TestSolveSeededNeighborField(t *testing.T) {
 // BenchmarkSolveColdGrid64MG times the cold production-grid solve on the
 // multigrid path (the tentpole target: <10 ms vs ~70 ms for IC(0)).
 func BenchmarkSolveColdGrid64MG(b *testing.B) {
-	m, pmap := mgModel(b, 64, 1)
+	m, pmap := mgModel(b, 64)
 	iters := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -340,7 +309,7 @@ func BenchmarkSolveColdGrid64MG(b *testing.B) {
 // the leakage loop runs: the same model under a shifted power map, seeded
 // with the converged field of the previous one (target: <300 µs).
 func BenchmarkSolveWarmNeighborMG(b *testing.B) {
-	m, pmap := mgModel(b, 64, 1)
+	m, pmap := mgModel(b, 64)
 	pmap2 := make([]float64, len(pmap))
 	for i, p := range pmap {
 		pmap2[i] = p * (1 + 0.05*float64(i%3))

@@ -45,13 +45,6 @@ type Config struct {
 	Tolerance float64
 	// MaxIterations bounds the CG solve.
 	MaxIterations int
-	// KernelThreads overrides the package-default worker count for the
-	// parallel solver kernel (SetKernelThreads) for models built from this
-	// config. 0 keeps the package default; 1 forces serial — what nested
-	// parallelism (org's exhaustive scan, chipletd's worker pool) sets to
-	// avoid oversubscription. The thread count never changes results: the
-	// kernel is bit-deterministic across worker counts (see kernel.go).
-	KernelThreads int
 }
 
 // DefaultConfig returns the evaluation configuration from Sec. IV: 64x64
@@ -90,9 +83,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxIterations <= 0 {
 		return fmt.Errorf("thermal: max iterations must be positive")
-	}
-	if c.KernelThreads < 0 {
-		return fmt.Errorf("thermal: kernel threads must be non-negative, got %d", c.KernelThreads)
 	}
 	return nil
 }

@@ -179,20 +179,6 @@ func (m *Model) getX() []float64 {
 	return make([]float64, m.nNodes)
 }
 
-// kernelThreads resolves the worker count for this model's solves: the
-// config override, else the package default, gated to serial for systems
-// too small to amortize dispatch.
-func (m *Model) kernelThreads() int {
-	if m.nNodes < parallelMinNodes {
-		return 1
-	}
-	t := m.cfg.KernelThreads
-	if t <= 0 {
-		t = KernelThreads()
-	}
-	return t
-}
-
 // Solve computes the steady-state temperature field for the given
 // chip-layer power map (watts per package-grid cell, length Nx*Ny).
 func (m *Model) Solve(chipPower []float64) (*Result, error) {
@@ -345,7 +331,6 @@ func (m *Model) runPCG(ctx context.Context, ws *workspace, x []float64, warm boo
 	sys := cgSystem{
 		diag: m.diag, mat: m.csr, pre: pre,
 		tol: m.cfg.Tolerance, maxIter: m.cfg.MaxIterations,
-		threads: m.kernelThreads(),
 	}
 	iters, res, err := pcgSolve(ctx, &sys, ws, x, ws.rhs)
 	sp.SetAttr("iterations", iters)
@@ -373,21 +358,19 @@ type cgSystem struct {
 	pre     cgPre
 	tol     float64
 	maxIter int
-	threads int
 }
 
 // pcgSolve runs preconditioned conjugate gradients, overwriting x with the
 // solution of A·x = b. Returns iterations used and the final relative
 // residual. ctx is checked every few iterations so long solves can be
-// abandoned (e.g. when an HTTP client disconnects). All vector stages run
-// through the striped kernel, so the result is bit-identical for every
-// thread count (see kernel.go for the determinism contract).
+// abandoned (e.g. when an HTTP client disconnects). Every reduction runs
+// through the striped kernels, whose fixed summation order is documented
+// in kernel.go.
 func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64) (int, float64, error) {
-	th := sys.threads
 	r, z, p, ap, parts := ws.r, ws.z, ws.p, ws.ap, ws.parts
 
-	spmvStriped(th, sys.diag, sys.mat, ap, x, nil, nil)
-	residualStriped(th, r, b, ap, parts)
+	spmvStriped(sys.diag, sys.mat, ap, x, nil, nil)
+	residualStriped(r, b, ap, parts)
 	bnorm := math.Sqrt(reduceParts(parts))
 	if bnorm == 0 {
 		for i := range x {
@@ -401,12 +384,12 @@ func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64)
 	// before paying for a single iteration, preconditioner application
 	// included. That early exit is what makes same-operator warm starts
 	// (leakage passes, repeated search points) nearly free.
-	dotStriped(th, r, r, parts)
+	dotStriped(r, r, parts)
 	r0norm := math.Sqrt(reduceParts(parts))
 	if r0norm/bnorm < sys.tol {
 		return 0, r0norm / bnorm, nil
 	}
-	rz := sys.pre.precondApply(th, ws, z, r)
+	rz := sys.pre.precondApply(ws, z, r)
 	copy(p, z)
 	for it := 1; it <= sys.maxIter; it++ {
 		if it&0x1f == 0 {
@@ -416,23 +399,23 @@ func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64)
 			default:
 			}
 		}
-		spmvStriped(th, sys.diag, sys.mat, ap, p, p, parts)
+		spmvStriped(sys.diag, sys.mat, ap, p, p, parts)
 		pap := reduceParts(parts)
 		if pap <= 0 {
 			return it, math.NaN(), fmt.Errorf("thermal: CG breakdown (pAp = %g); matrix not SPD", pap)
 		}
 		alpha := rz / pap
-		updateStriped(th, alpha, x, p, r, ap, parts)
+		updateStriped(alpha, x, p, r, ap, parts)
 		rnorm := math.Sqrt(reduceParts(parts))
 		if rnorm/bnorm < sys.tol {
 			return it, rnorm / bnorm, nil
 		}
-		rzNew := sys.pre.precondApply(th, ws, z, r)
+		rzNew := sys.pre.precondApply(ws, z, r)
 		beta := rzNew / rz
 		rz = rzNew
-		combineStriped(th, beta, p, z)
+		combine(beta, p, z)
 	}
-	dotStriped(th, r, r, parts)
+	dotStriped(r, r, parts)
 	rnorm := math.Sqrt(reduceParts(parts))
 	return sys.maxIter, rnorm / bnorm, fmt.Errorf(
 		"thermal: CG did not converge in %d iterations (residual %.3g)",
@@ -586,8 +569,8 @@ func (ic *icPreconditioner) factor(diag, aval []float64) {
 // the pair costs one memory pass instead of two. Both sweeps are fused
 // gather loops: one read pass over the factor, one sequential write per
 // row, the diagonal reciprocal folded in. The sweeps (and the returned
-// dot) run serially in row order for every kernel thread count, so the
-// fused sum never threatens the determinism contract.
+// dot) run in row order, a fixed summation order like the striped sums of
+// kernel.go.
 func (ic *icPreconditioner) apply(z, r []float64) float64 {
 	n := ic.n
 	rowPtr, colIdx, lval, dinv := ic.rowPtr, ic.colIdx, ic.lval, ic.dinv

@@ -139,7 +139,6 @@ func (ts *TransientSolver) Step(chipPower []float64) (float64, error) {
 	sys := cgSystem{
 		diag: ts.diag, mat: m.csr, pre: ts.precond,
 		tol: m.cfg.Tolerance, maxIter: m.cfg.MaxIterations,
-		threads: m.kernelThreads(),
 	}
 	if _, _, err := pcgSolve(context.Background(), &sys, ts.ws, ts.T, rhs); err != nil {
 		return 0, fmt.Errorf("thermal: transient step: %w", err)

@@ -217,7 +217,6 @@ func checkCostGoldenElaboration(ctx *Context) error {
 func checkTCOBatchDifferential(ctx *Context) error {
 	opts := serve.Options{
 		Workers:       2,
-		KernelThreads: 1,
 		SearchWorkers: 1,
 		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}

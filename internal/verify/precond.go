@@ -34,9 +34,9 @@ const (
 )
 
 // precondModel assembles a verification-tolerance model for placement pl at
-// grid n×n with the given kernel thread count, its preconditioner forced to
-// precond through the verify hook (empty keeps the grid rule's choice).
-func precondModel(pl floorplan.Placement, n int, precond string, threads int) (*thermal.Model, error) {
+// grid n×n, its preconditioner forced to precond through the verify hook
+// (empty keeps the grid rule's choice).
+func precondModel(pl floorplan.Placement, n int, precond string) (*thermal.Model, error) {
 	stack, err := floorplan.BuildStack(pl)
 	if err != nil {
 		return nil, err
@@ -45,7 +45,6 @@ func precondModel(pl floorplan.Placement, n int, precond string, threads int) (*
 	cfg.Nx, cfg.Ny = n, n
 	cfg.Tolerance = VerifyCGTol
 	cfg.MaxIterations = 200000
-	cfg.KernelThreads = threads
 	m, err := thermal.NewModel(stack, cfg)
 	if err != nil || precond == "" {
 		return m, err
@@ -55,11 +54,8 @@ func precondModel(pl floorplan.Placement, n int, precond string, threads int) (*
 
 // checkMGIC0Differential solves seeded random floorplans with both
 // preconditioners and requires node-for-node agreement: the multigrid path
-// must change how fast CG converges, never what it converges to. It also
-// pins the multigrid path's determinism contract — serial and parallel
-// kernels produce bit-identical fields — since the striped reductions that
-// guarantee it for IC(0) now also run inside the V-cycle. First it pins
-// the grid rule that picks between the two paths: a default model uses
+// must change how fast CG converges, never what it converges to. First it
+// pins the grid rule that picks between the two paths: a default model uses
 // IC(0) at 16x16 and multigrid at 32x32.
 func checkMGIC0Differential(ctx *Context) error {
 	rng := rand.New(rand.NewSource(caseSeed + 5))
@@ -67,7 +63,7 @@ func checkMGIC0Differential(ctx *Context) error {
 		n    int
 		want string
 	}{{16, thermal.PrecondIC0}, {32, thermal.PrecondMG}} {
-		m, err := precondModel(floorplan.SingleChip(), r.n, "", 1)
+		m, err := precondModel(floorplan.SingleChip(), r.n, "")
 		if err != nil {
 			return failf("mg-ic0: grid rule: grid %d model: %v", r.n, err)
 		}
@@ -83,11 +79,11 @@ func checkMGIC0Differential(ctx *Context) error {
 	for c := 0; c < cases; c++ {
 		pl := randPlacement(rng)
 		for _, n := range grids {
-			ic0, err := precondModel(pl, n, thermal.PrecondIC0, 1)
+			ic0, err := precondModel(pl, n, thermal.PrecondIC0)
 			if err != nil {
 				return failf("mg-ic0: case %d grid %d: ic0 model: %v", c, n, err)
 			}
-			mg, err := precondModel(pl, n, thermal.PrecondMG, 1)
+			mg, err := precondModel(pl, n, thermal.PrecondMG)
 			if err != nil {
 				return failf("mg-ic0: case %d grid %d: mg model: %v", c, n, err)
 			}
@@ -114,35 +110,6 @@ func checkMGIC0Differential(ctx *Context) error {
 				c, n, worst, ri.Iterations, rm.Iterations)
 		}
 	}
-
-	// Determinism: the multigrid solve must be bit-identical at every
-	// kernel thread count (the same contract the IC(0) path carries).
-	pl := randPlacement(rng)
-	n := 2 * invariantGridN
-	var ref []float64
-	for _, threads := range []int{1, 2, 4} {
-		m, err := precondModel(pl, n, thermal.PrecondMG, threads)
-		if err != nil {
-			return failf("mg-ic0: determinism model (threads %d): %v", threads, err)
-		}
-		pmapRng := rand.New(rand.NewSource(caseSeed + 6))
-		pmap, _ := randPowerMap(pmapRng, m, pl)
-		res, err := m.Solve(pmap)
-		if err != nil {
-			return failf("mg-ic0: determinism solve (threads %d): %v", threads, err)
-		}
-		if ref == nil {
-			ref = append([]float64(nil), res.T...)
-			continue
-		}
-		for i := range ref {
-			if res.T[i] != ref[i] {
-				return failf("mg-ic0: multigrid solve with %d kernel threads diverges bitwise from serial at node %d: %v vs %v",
-					threads, i, res.T[i], ref[i])
-			}
-		}
-	}
-	ctx.logf("mg-ic0: multigrid fields bit-identical across kernel threads {1,2,4} on grid %d", n)
 	return nil
 }
 
@@ -155,7 +122,7 @@ func checkWarmStartFixpoint(ctx *Context) error {
 	rng := rand.New(rand.NewSource(caseSeed + 7))
 	for c := 0; c < 3; c++ {
 		pl := randPlacement(rng)
-		m, err := precondModel(pl, invariantGridN, thermal.PrecondMG, 1)
+		m, err := precondModel(pl, invariantGridN, thermal.PrecondMG)
 		if err != nil {
 			return failf("warm-start: case %d: model: %v", c, err)
 		}

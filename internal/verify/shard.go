@@ -25,7 +25,7 @@ import (
 // a node whose only peer is unreachable falls back to local computation
 // and still matches the reference bit for bit (correct-but-cold, never
 // wrong). This leans on the determinism contracts the earlier differential
-// tiers pin (bit-equal kernels across thread counts, order-independent
+// tiers pin (pure-function evaluations, order-independent
 // memo) plus one new fact: a SimRecord's float64 fields survive a JSON
 // round trip exactly (Go encodes shortest-representation, parses exactly),
 // so a fetched record is the record.
@@ -36,12 +36,11 @@ import (
 const shardCheckGrid = 8
 
 // shardOpts are the serve options shared by every node in the check; fully
-// pinned (workers, kernel threads, search workers) so the only variable
+// pinned (workers, search workers) so the only variable
 // across deployments is the sharding topology itself.
 func shardOpts() serve.Options {
 	return serve.Options{
 		Workers:       2,
-		KernelThreads: 1,
 		SearchWorkers: 1,
 		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}

@@ -178,7 +178,7 @@ func Checks() []Check {
 		},
 		{
 			Name:        "differential/mg-ic0",
-			Description: "multigrid-preconditioned solves against IC(0) node-for-node, plus bit-equality across kernel threads",
+			Description: "multigrid-preconditioned solves against IC(0) node-for-node",
 			Quick:       true,
 			Run:         checkMGIC0Differential,
 		},

@@ -21,8 +21,9 @@
 # the tracer-overhead guard (BenchmarkSolveTraced vs BenchmarkSolveUntraced),
 # the export-overhead guard (BenchmarkSolveTracedExporting vs untraced, plus
 # the disabled-exporter zero-allocation test),
-# the thermal kernel-correctness gate (serial vs parallel bit-equality and
-# the concurrent-solve stress, under -race), the org parallel-search
+# the thermal concurrent-solve stress (many goroutines on one model, every
+# field bit-identical to the sequential reference, under -race), the
+# org parallel-search
 # determinism gate (parallel multi-start ≡ serial bit-for-bit over a shared
 # engine, under -race), the cost Monte Carlo determinism gate (same seed →
 # bit-identical yield quantiles at any worker count, under -race), the
@@ -158,13 +159,12 @@ echo "==> disabled-exporter zero-allocation gate"
 # cost on the serving path must be exactly zero allocations.
 go test -count 1 -run 'TestDisabledExporterZeroAlloc' ./internal/obs/export
 
-echo "==> thermal kernel correctness (serial vs parallel bit-equality, -race)"
-# Redundant under the full -race run above, but explicit and cheap: the
-# determinism contract (kernel.go) is what keeps chipletd's content-
-# addressed cache honest, so it gets its own named gate.
-go test -race -count 1 \
-    -run 'TestKernelSerialParallelEquality|TestTransientSerialParallelEquality|TestConcurrentSolves' \
-    ./internal/thermal
+echo "==> thermal concurrent-solve stress (-race)"
+# Redundant under the full -race run above, but explicit and cheap: pooled
+# workspaces must isolate concurrent solves on one shared model, and every
+# field must match the sequential reference bit for bit. That is what keeps
+# chipletd's content-addressed cache honest, so it gets its own named gate.
+go test -race -count 1 -run 'TestConcurrentSolves' ./internal/thermal
 
 echo "==> org parallel-search determinism (golden parallel≡serial, -race)"
 # The parallel multi-start search promises bit-identical results to the
