@@ -2,8 +2,9 @@ package chiplet25d
 
 // Benchmark harness: one testing.B benchmark per paper table/figure (each
 // regenerates the artifact's data series at reduced scale through the same
-// code paths cmd/experiments uses at full scale), plus micro-benchmarks of
-// the substrates (thermal solve, cost model, NoC sizing, greedy search).
+// code paths cmd/experiments uses at full scale), the leakage-coupled solve
+// (bare, traced and exporting, which scripts/ci.sh compares), and the
+// chipletd serving-path benchmarks behind the cache and batching claims.
 //
 // Run everything with:
 //
@@ -26,10 +27,8 @@ import (
 
 	"chiplet25d/internal/expt"
 	"chiplet25d/internal/floorplan"
-	"chiplet25d/internal/noc"
 	"chiplet25d/internal/obs"
 	"chiplet25d/internal/obs/export"
-	"chiplet25d/internal/org"
 	"chiplet25d/internal/perf"
 	"chiplet25d/internal/power"
 	"chiplet25d/internal/serve"
@@ -122,205 +121,12 @@ func BenchmarkSensitivityThresholds(b *testing.B) {
 	runExperiment(b, "sensitivity", o)
 }
 
-// BenchmarkCostReduction regenerates the iso-performance 36% cost-saving
-// headline.
-func BenchmarkCostReduction(b *testing.B) {
-	o := benchOptions()
-	o.Benchmarks = []string{"canneal"}
-	runExperiment(b, "costreduction", o)
-}
-
 // BenchmarkGreedyVsExhaustive regenerates the Sec. III-D validation of the
 // multi-start greedy against exhaustive placement search.
 func BenchmarkGreedyVsExhaustive(b *testing.B) {
 	o := benchOptions()
 	o.Benchmarks = []string{"canneal"}
 	runExperiment(b, "validate", o)
-}
-
-// BenchmarkAblationNonUniform measures the non-uniform vs uniform spacing
-// ablation (a DESIGN.md-flagged design choice).
-func BenchmarkAblationNonUniform(b *testing.B) {
-	runExperiment(b, "ablation-nonuniform", benchOptions())
-}
-
-// BenchmarkAblationAllocation measures the MinTemp vs row-major ablation.
-func BenchmarkAblationAllocation(b *testing.B) {
-	runExperiment(b, "ablation-alloc", benchOptions())
-}
-
-// --- substrate micro-benchmarks ---
-
-// solve64Fixture assembles the paper's 64x64 full-stack model with its
-// preconditioner forced to precond, plus a uniform 400 W power map — the
-// shared setup of the cold-solve micro-benchmarks below.
-func solve64Fixture(b *testing.B, precond string) (*thermal.Model, floorplan.Placement, []float64) {
-	b.Helper()
-	pl, err := floorplan.UniformGrid(4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stack, err := floorplan.BuildStack(pl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := thermal.NewModel(stack, thermal.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.ForcePreconditionerForVerify(precond); err != nil {
-		b.Fatal(err)
-	}
-	pmap := make([]float64, m.Grid().NumCells())
-	for _, c := range pl.Chiplets {
-		m.Grid().RasterizeAdd(pmap, c, 400.0/float64(len(pl.Chiplets)))
-	}
-	return m, pl, pmap
-}
-
-// benchmarkThermalSolve64 measures one cold steady-state solve of the
-// paper's 64x64 grid (the unit of work the paper counts in CPU-hours) and
-// reports the CG iteration count — the machine-independent half of the
-// speedup claim.
-func benchmarkThermalSolve64(b *testing.B, precond string) {
-	m, _, pmap := solve64Fixture(b, precond)
-	iters := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := m.Solve(pmap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters = res.Iterations
-		res.Recycle()
-	}
-	b.ReportMetric(float64(iters), "cg-iters/op")
-}
-
-// BenchmarkThermalSolve64 is the IC(0)-preconditioned cold solve — the
-// pre-multigrid baseline.
-func BenchmarkThermalSolve64(b *testing.B) { benchmarkThermalSolve64(b, thermal.PrecondIC0) }
-
-// BenchmarkThermalSolve64MG is the multigrid-preconditioned cold solve, the
-// path NewModel picks at this grid; its ratio against
-// BenchmarkThermalSolve64 is BENCH_5's cold_solve_speedup.
-func BenchmarkThermalSolve64MG(b *testing.B) { benchmarkThermalSolve64(b, thermal.PrecondMG) }
-
-// BenchmarkThermalModelAssembly measures conductance-matrix assembly plus
-// preconditioner setup (the IC(0) factorization and, at this grid, the
-// multigrid hierarchy) for the 64x64 2.5D stack.
-func BenchmarkThermalModelAssembly(b *testing.B) {
-	pl, err := floorplan.UniformGrid(4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stack, err := floorplan.BuildStack(pl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := thermal.NewModel(stack, thermal.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLeakageCoupledSim measures one full leakage-temperature
-// fixed-point simulation (the optimizer's evaluation unit) at 32x32.
-func BenchmarkLeakageCoupledSim(b *testing.B) {
-	bench, err := perf.ByName("cholesky")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, err := floorplan.UniformGrid(4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stack, err := floorplan.BuildStack(pl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tc := thermal.DefaultConfig()
-	tc.Nx, tc.Ny = 32, 32
-	m, err := thermal.NewModel(stack, tc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cores, err := pl.Cores()
-	if err != nil {
-		b.Fatal(err)
-	}
-	active, err := power.MintempActive(256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := power.Workload{RefCoreW: bench.RefCoreW, Op: power.NominalPoint,
-		Active: active, NoCW: 8, Leakage: power.DefaultLeakage()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := power.Simulate(m, cores, w, power.DefaultSimOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCostModel measures Eq. (1)-(4) evaluation across the interposer
-// sweep.
-func BenchmarkCostModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		total := 0.0
-		for edge := 20.0; edge <= 50; edge += 0.5 {
-			pl, err := floorplan.PaperOrgForInterposer(16, edge, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += SystemCost(pl)
-		}
-		if total <= 0 {
-			b.Fatal("bogus cost")
-		}
-	}
-}
-
-// BenchmarkMeshPower measures the NoC power model including interposer
-// driver sizing for a 16-chiplet placement.
-func BenchmarkMeshPower(b *testing.B) {
-	pl, err := floorplan.UniformGrid(4, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lp, rp := noc.DefaultLinkParams(), noc.DefaultRouterParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := noc.MeshPower(pl, power.NominalPoint, 256, 0.1, lp, rp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGreedyPlacementSearch measures one multi-start greedy placement
-// search at a fixed cost bucket (the paper's step-3 unit).
-func BenchmarkGreedyPlacementSearch(b *testing.B) {
-	bench, err := perf.ByName("canneal")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := org.DefaultConfig(bench)
-	cfg.Thermal.Nx, cfg.Thermal.Ny = 16, 16
-	cfg.Starts = 5
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, err := org.NewSearcher(cfg) // fresh searcher: no memo carryover
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, _, _, err := s.FindPlacement(16, 36, power.NominalPoint, 224); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFig2LinkModel regenerates the Fig. 2 link-model table.
@@ -347,142 +153,12 @@ func BenchmarkReliability(b *testing.B) {
 	runExperiment(b, "reliability", o)
 }
 
-// BenchmarkTransientStep measures one backward-Euler transient step of the
-// 2.5D stack at the paper's grid.
-func BenchmarkTransientStep(b *testing.B) {
-	pl, err := floorplan.UniformGrid(4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stack, err := floorplan.BuildStack(pl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tc := thermal.DefaultConfig()
-	tc.Nx, tc.Ny = 32, 32
-	m, err := thermal.NewModel(stack, tc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts, err := m.NewTransientSolver(0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pmap := make([]float64, m.Grid().NumCells())
-	for _, c := range pl.Chiplets {
-		m.Grid().RasterizeAdd(pmap, c, 400.0/float64(len(pl.Chiplets)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ts.Step(pmap); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- leakage-coupled solve benchmarks ---
 
-// BenchmarkXYLinkLoads measures the exact XY-routing load computation for
-// the full 256-core mesh.
-func BenchmarkXYLinkLoads(b *testing.B) {
-	active := make([]bool, floorplan.NumCores)
-	for i := range active {
-		active[i] = true
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := noc.XYLinkLoads(active); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnnealingPlacementSearch measures the simulated-annealing
-// alternative to the greedy at the same instance.
-func BenchmarkAnnealingPlacementSearch(b *testing.B) {
-	bench, err := perf.ByName("canneal")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := org.DefaultConfig(bench)
-	cfg.Thermal.Nx, cfg.Thermal.Ny = 16, 16
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, err := org.NewSearcher(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, _, _, err := s.FindPlacementAnnealing(16, 36, power.NominalPoint, 224, org.DefaultAnnealParams()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParetoFront measures the full cost-performance frontier
-// extraction at reduced scale.
-func BenchmarkParetoFront(b *testing.B) {
-	bench, err := perf.ByName("swaptions")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := org.DefaultConfig(bench)
-	cfg.Thermal.Nx, cfg.Thermal.Ny = 16, 16
-	cfg.InterposerStepMM = 5
-	cfg.Starts = 3
-	points := 0
-	for i := 0; i < b.N; i++ {
-		s, err := org.NewSearcher(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		front, err := s.ParetoFront()
-		if err != nil {
-			b.Fatal(err)
-		}
-		points = len(front)
-	}
-	b.ReportMetric(float64(points), "front_points")
-}
-
-// BenchmarkOptimizeEndToEnd measures a complete Eq. (5) optimization run
-// (reduced scale) for a low-power benchmark.
-func BenchmarkOptimizeEndToEnd(b *testing.B) {
-	bench, err := perf.ByName("canneal")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := org.DefaultConfig(bench)
-	cfg.Thermal.Nx, cfg.Thermal.Ny = 16, 16
-	cfg.InterposerStepMM = 2
-	cfg.Starts = 5
-	sims := 0
-	for i := 0; i < b.N; i++ {
-		s, err := org.NewSearcher(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := s.Optimize()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Feasible {
-			b.Fatal("expected feasible result")
-		}
-		sims = res.ThermalSims
-	}
-	b.ReportMetric(float64(sims), "thermal_sims")
-}
-
-// BenchmarkStacking regenerates the 2D vs 2.5D vs 3D stacking comparison.
-func BenchmarkStacking(b *testing.B) {
-	runExperiment(b, "stacking", benchOptions())
-}
-
-// benchSolve runs the leakage-coupled solve loop that dominates every
-// serving request, optionally under a span trace, so the pair below bounds
-// the tracer's overhead on the hot path (spans are created inside every CG
-// solve of every leakage iteration).
-func benchSolve(b *testing.B, traced bool) {
+// solveFixture is the shared setup of the leakage-coupled solve benchmarks:
+// cholesky at the nominal point on a 16-chiplet placement with all 256
+// cores active, over a 32x32 model.
+func solveFixture(b *testing.B) (*thermal.Model, []floorplan.Core, power.Workload) {
 	b.Helper()
 	bench, err := perf.ByName("cholesky")
 	if err != nil {
@@ -512,6 +188,27 @@ func benchSolve(b *testing.B, traced bool) {
 	}
 	w := power.Workload{RefCoreW: bench.RefCoreW, Op: power.NominalPoint,
 		Active: active, NoCW: 8, Leakage: power.DefaultLeakage()}
+	return m, cores, w
+}
+
+// BenchmarkLeakageCoupledSim measures one full leakage-temperature
+// fixed-point simulation (the optimizer's evaluation unit) at 32x32.
+func BenchmarkLeakageCoupledSim(b *testing.B) {
+	m, cores, w := solveFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := power.Simulate(m, cores, w, power.DefaultSimOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSolve runs the leakage-coupled solve loop that dominates every
+// serving request, optionally under a span trace, so the pair below bounds
+// the tracer's overhead on the hot path (spans are created inside every CG
+// solve of every leakage iteration).
+func benchSolve(b *testing.B, traced bool) {
+	m, cores, w := solveFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := context.Background()
@@ -551,34 +248,7 @@ func BenchmarkSolveTracedExporting(b *testing.B) {
 		_ = exp.Shutdown(ctx)
 	}()
 
-	bench, err := perf.ByName("cholesky")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, err := floorplan.UniformGrid(4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stack, err := floorplan.BuildStack(pl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tc := thermal.DefaultConfig()
-	tc.Nx, tc.Ny = 32, 32
-	m, err := thermal.NewModel(stack, tc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cores, err := pl.Cores()
-	if err != nil {
-		b.Fatal(err)
-	}
-	active, err := power.MintempActive(256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := power.Workload{RefCoreW: bench.RefCoreW, Op: power.NominalPoint,
-		Active: active, NoCW: 8, Leakage: power.DefaultLeakage()}
+	m, cores, w := solveFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := obs.NewTrace("bench", "bench")
@@ -589,36 +259,6 @@ func BenchmarkSolveTracedExporting(b *testing.B) {
 		tr.Finish()
 		exp.Enqueue(tr.Snapshot())
 	}
-}
-
-// BenchmarkGreedyPlacementSearchAudited is BenchmarkGreedyPlacementSearch
-// with a convergence audit log attached, bounding what ?audit=1 costs a
-// search (one bounded ring append per event versus a nil check).
-func BenchmarkGreedyPlacementSearchAudited(b *testing.B) {
-	bench, err := perf.ByName("canneal")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := org.DefaultConfig(bench)
-	cfg.Thermal.Nx, cfg.Thermal.Ny = 16, 16
-	cfg.Starts = 5
-	events := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, err := org.NewSearcher(cfg) // fresh searcher: no memo carryover
-		if err != nil {
-			b.Fatal(err)
-		}
-		al := org.NewAuditLog(256)
-		s.WithAudit(al)
-		b.StartTimer()
-		if _, _, _, err := s.FindPlacement(16, 36, power.NominalPoint, 224); err != nil {
-			b.Fatal(err)
-		}
-		events = al.Len()
-	}
-	b.ReportMetric(float64(events), "audit_events")
 }
 
 // --- chipletd serving-path benchmarks ---
@@ -758,47 +398,6 @@ func BenchmarkChipletdSequentialSweep64Warm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, body := range bodies {
 			benchPost(b, ts.URL+"/v1/thermal/solve", body)
-		}
-	}
-}
-
-// BenchmarkChipletdPeerFetchHit measures what a peer pays to pull one
-// memoized simulation over GET /v1/memo/{fingerprint}/{key} — the unit cost
-// of the sharding layer's remote-memo alternative to re-simulating.
-func BenchmarkChipletdPeerFetchHit(b *testing.B) {
-	ts := newBenchHTTPServer(b)
-	benchPost(b, ts.URL+"/v1/thermal/solve",
-		`{"placement": {"chiplets": 4, "s3_mm": 1}, "benchmark": "cholesky",
-		  "freq_mhz": 533, "cores": 128, "grid_n": 8}`)
-	resp, err := http.Get(ts.URL + "/debug/shard?keys=1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var shard struct {
-		Engines []struct {
-			FingerprintHash string   `json:"fingerprint_hash"`
-			MemoKeys        []string `json:"memo_keys"`
-		} `json:"engines"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&shard)
-	resp.Body.Close()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(shard.Engines) != 1 || len(shard.Engines[0].MemoKeys) == 0 {
-		b.Fatalf("shard view = %+v, want one engine with a resident memo key", shard)
-	}
-	url := ts.URL + "/v1/memo/" + shard.Engines[0].FingerprintHash + "/" + shard.Engines[0].MemoKeys[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Get(url)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("memo fetch = %d", resp.StatusCode)
 		}
 	}
 }

@@ -307,32 +307,12 @@ func SprintTime(pl Placement, benchmark string, thresholdC, maxSeconds float64, 
 	if err != nil {
 		return SprintResult{}, err
 	}
-	nocPerCore := mesh.TotalW() / floorplan.NumCores
-	lm := power.DefaultLeakage()
-	ts, err := model.NewTransientSolver(0.25)
+	seconds, sustained, err := power.Sprint(model, cores, b.RefCoreW, mesh.TotalW()/floorplan.NumCores,
+		thresholdC, maxSeconds, 0.25)
 	if err != nil {
 		return SprintResult{}, err
 	}
-	grid := model.Grid()
-	for ts.Elapsed < maxSeconds {
-		pmap := make([]float64, grid.NumCells())
-		chip := ts.ChipT()
-		for _, c := range cores {
-			cx, cy := c.Rect.Center()
-			ix, iy := grid.CellAt(cx, cy)
-			tC := chip[grid.Index(ix, iy)]
-			grid.RasterizeAdd(pmap, c.Rect,
-				power.CorePower(b.RefCoreW, power.NominalPoint, tC, lm)+nocPerCore)
-		}
-		peak, err := ts.Step(pmap)
-		if err != nil {
-			return SprintResult{}, err
-		}
-		if peak >= thresholdC {
-			return SprintResult{SprintSeconds: ts.Elapsed}, nil
-		}
-	}
-	return SprintResult{SprintSeconds: maxSeconds, Sustained: true}, nil
+	return SprintResult{SprintSeconds: seconds, Sustained: sustained}, nil
 }
 
 // OperatingPoint returns the Table II DVFS point for a frequency in MHz.

@@ -41,7 +41,6 @@ func main() {
 		sworkers  = flag.Int("search-workers", 0, "concurrent greedy restarts (0/1 = serial; results are identical at any count)")
 		maxCost   = flag.Float64("maxcost", 0, "cap on cost relative to the single chip (0 = uncapped, 1 = iso-cost)")
 		spatial   = flag.Bool("spatial", false, "enable the spatial compact-model surrogate tier (decides clear evaluations without a full simulation)")
-		smargin   = flag.Float64("spatial-margin", 0, "extra spatial escalation margin in °C (the calibration bound is always the floor)")
 		cfgPath   = flag.String("config", "", "JSON configuration file (overrides the other flags)")
 		saveCfg   = flag.String("savecfg", "", "write the effective configuration as JSON to this path")
 	)
@@ -65,7 +64,6 @@ func main() {
 		}
 		if *spatial {
 			cfg.SpatialSurrogate = true
-			cfg.SpatialMarginC = *smargin
 		}
 		if *saveCfg != "" {
 			if err := writeConfig(*saveCfg, cfg); err != nil {
@@ -90,7 +88,6 @@ func main() {
 			c.SearchWorkers = *sworkers
 			c.MaxNormCost = *maxCost
 			c.SpatialSurrogate = *spatial
-			c.SpatialMarginC = *smargin
 			if *saveCfg != "" {
 				if err := writeConfig(*saveCfg, *c); err != nil {
 					fmt.Fprintln(os.Stderr, "chipletorg:", err)

@@ -55,11 +55,9 @@ type File struct {
 	SearchWorkers   *int     `json:"search_workers,omitempty"`
 	SurrogateMargin *float64 `json:"surrogate_margin_c,omitempty"`
 	// SpatialSurrogate enables the spatial compact-model fidelity tier
-	// (absent: off); SpatialMargin is its escalation margin in °C — the
-	// calibration's recorded worst-case error is always the floor, so the
-	// default 0 adds no extra conservatism beyond the measured bound.
-	SpatialSurrogate *bool    `json:"spatial_surrogate,omitempty"`
-	SpatialMargin    *float64 `json:"spatial_margin_c,omitempty"`
+	// (absent: off). Its escalation margin is the calibration's recorded
+	// worst-case error.
+	SpatialSurrogate *bool `json:"spatial_surrogate,omitempty"`
 
 	ThermalGridN      *int     `json:"thermal_grid_n,omitempty"`
 	AmbientC          *float64 `json:"ambient_c,omitempty"`
@@ -203,7 +201,6 @@ func (f *File) ToConfig() (org.Config, error) {
 	if f.SpatialSurrogate != nil {
 		cfg.SpatialSurrogate = *f.SpatialSurrogate
 	}
-	setF(&cfg.SpatialMarginC, f.SpatialMargin)
 	if f.ThermalGridN != nil {
 		cfg.Thermal.Nx, cfg.Thermal.Ny = *f.ThermalGridN, *f.ThermalGridN
 	}
@@ -263,7 +260,6 @@ func Save(w io.Writer, cfg org.Config) error {
 		SearchWorkers:     &cfg.SearchWorkers,
 		SurrogateMargin:   &cfg.SurrogateMarginC,
 		SpatialSurrogate:  &cfg.SpatialSurrogate,
-		SpatialMargin:     &cfg.SpatialMarginC,
 		ThermalGridN:      &cfg.Thermal.Nx,
 		AmbientC:          &cfg.Thermal.AmbientC,
 		HeatTransferCoeff: &cfg.Thermal.HeatTransferCoeff,

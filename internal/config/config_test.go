@@ -87,7 +87,7 @@ func TestLoadErrors(t *testing.T) {
 	// and in the server section, so a stale config fails loudly.
 	for _, field := range []string{
 		`"warm_start": true`, `"warm_start_cache": 8`, `"preconditioner": "mg"`,
-		`"kernel_threads": 2`, `"parallel_workers": 2`,
+		`"kernel_threads": 2`, `"parallel_workers": 2`, `"spatial_margin_c": 1`,
 	} {
 		if _, err := Load(strings.NewReader(`{"benchmark": "shock", ` + field + `}`)); err == nil {
 			t.Errorf("expected error for removed field %s", field)

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Monte-Carlo validation of the negative-binomial yield model (Eq. (2)).
@@ -38,87 +35,6 @@ func (p Params) SimulateYield(dieAreaMM2 float64, n int, seed int64) (float64, e
 		}
 	}
 	return float64(good) / float64(n), nil
-}
-
-// yieldBlockSamples is the fixed per-block sample count of YieldQuantiles.
-// Blocks are the unit of both parallelism and determinism: block i draws
-// from its own RNG seeded by mixSeed(seed, i), so the result is a pure
-// function of (parameters, seed, blocks) no matter how many workers run or
-// how the scheduler interleaves them — the same contract the parallel
-// search keeps (serial ≡ parallel, bit for bit).
-const yieldBlockSamples = 1024
-
-// YieldQuantiles runs the clustered-defect process over blocks x 1024
-// sampled dies on the given number of workers and returns the requested
-// quantiles (nearest-rank, probs in [0,1]) of the per-block yield-fraction
-// distribution, plus the overall mean yield. Same seed → bit-identical
-// results at any worker count.
-func (p Params) YieldQuantiles(dieAreaMM2 float64, blocks, workers int, seed int64, probs []float64) (quantiles []float64, mean float64, err error) {
-	if dieAreaMM2 <= 0 {
-		return nil, 0, fmt.Errorf("cost: die area must be positive")
-	}
-	if blocks < 1 {
-		return nil, 0, fmt.Errorf("cost: need at least one block")
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for _, q := range probs {
-		if q < 0 || q > 1 || math.IsNaN(q) {
-			return nil, 0, fmt.Errorf("cost: quantile probabilities must lie in [0,1]")
-		}
-	}
-	fractions := make([]float64, blocks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mean := dieAreaMM2 * p.D0PerCM2 / 100
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= blocks {
-					return
-				}
-				rng := rand.New(rand.NewSource(mixSeed(seed, i)))
-				good := 0
-				for s := 0; s < yieldBlockSamples; s++ {
-					lambda := gammaSample(rng, p.Alpha) * mean / p.Alpha
-					if poissonSample(rng, lambda) == 0 {
-						good++
-					}
-				}
-				fractions[i] = float64(good) / yieldBlockSamples
-			}
-		}()
-	}
-	wg.Wait()
-	total := 0.0
-	for _, f := range fractions {
-		total += f
-	}
-	sorted := append([]float64(nil), fractions...)
-	sort.Float64s(sorted)
-	quantiles = make([]float64, len(probs))
-	for i, q := range probs {
-		// Nearest-rank: the smallest value with cumulative frequency >= q.
-		k := int(math.Ceil(q * float64(blocks)))
-		if k < 1 {
-			k = 1
-		}
-		quantiles[i] = sorted[k-1]
-	}
-	return quantiles, total / float64(blocks), nil
-}
-
-// mixSeed derives block i's RNG seed from the root seed via a splitmix64
-// round, decorrelating neighbouring blocks without any shared state.
-func mixSeed(seed int64, block int) int64 {
-	z := uint64(seed) + uint64(block+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
 }
 
 // gammaSample draws from Gamma(shape, 1) via Marsaglia-Tsang.

@@ -91,45 +91,21 @@ func sprintTime(pl floorplan.Placement, tc thermal.Config, b perf.Benchmark,
 	if err != nil {
 		return 0, false, 0, err
 	}
-	nocPerCore := mesh.TotalW() / floorplan.NumCores
-	lm := power.DefaultLeakage()
-
 	// Steady state for the "sustainable" verdict.
 	active, err := power.MintempActive(floorplan.NumCores)
 	if err != nil {
 		return 0, false, 0, err
 	}
 	w := power.Workload{RefCoreW: b.RefCoreW, Op: power.NominalPoint,
-		Active: active, NoCW: mesh.TotalW(), Leakage: lm}
+		Active: active, NoCW: mesh.TotalW(), Leakage: power.DefaultLeakage()}
 	steady, err := power.Simulate(model, cores, w, power.DefaultSimOptions())
 	if err != nil {
 		return 0, false, 0, err
 	}
-	steadyPeakC = steady.PeakC
-
-	ts, err := model.NewTransientSolver(dt)
+	sprintS, sustained, err = power.Sprint(model, cores, b.RefCoreW, mesh.TotalW()/floorplan.NumCores,
+		thresholdC, maxTime, dt)
 	if err != nil {
 		return 0, false, 0, err
 	}
-	grid := model.Grid()
-	for ts.Elapsed < maxTime {
-		// Rebuild the power map with leakage at each core's current
-		// temperature.
-		pmap := make([]float64, grid.NumCells())
-		chip := ts.ChipT()
-		for _, c := range cores {
-			cx, cy := c.Rect.Center()
-			ix, iy := grid.CellAt(cx, cy)
-			tC := chip[grid.Index(ix, iy)]
-			grid.RasterizeAdd(pmap, c.Rect, power.CorePower(b.RefCoreW, power.NominalPoint, tC, lm)+nocPerCore)
-		}
-		peak, err := ts.Step(pmap)
-		if err != nil {
-			return 0, false, 0, err
-		}
-		if peak >= thresholdC {
-			return ts.Elapsed, false, steadyPeakC, nil
-		}
-	}
-	return maxTime, true, steadyPeakC, nil
+	return sprintS, sustained, steady.PeakC, nil
 }

@@ -50,11 +50,6 @@ func (r Rect) MaxY() float64 { return r.Y + r.H }
 // Center returns the rectangle center point.
 func (r Rect) Center() (x, y float64) { return r.X + r.W/2, r.Y + r.H/2 }
 
-// Translate returns the rectangle moved by (dx, dy).
-func (r Rect) Translate(dx, dy float64) Rect {
-	return Rect{X: r.X + dx, Y: r.Y + dy, W: r.W, H: r.H}
-}
-
 // Intersect returns the overlapping region of r and s. If the rectangles do
 // not overlap the result is an empty rectangle (zero W or H).
 func (r Rect) Intersect(s Rect) Rect {
@@ -106,16 +101,6 @@ func (r Rect) Union(s Rect) Rect {
 // String formats the rectangle for diagnostics.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.3f,%.3f %.3fx%.3f]", r.X, r.Y, r.W, r.H)
-}
-
-// BoundingBox returns the bounding box of all given rectangles; the zero
-// Rect if the slice is empty.
-func BoundingBox(rects []Rect) Rect {
-	var bb Rect
-	for _, r := range rects {
-		bb = bb.Union(r)
-	}
-	return bb
 }
 
 // AnyOverlap reports whether any pair of rectangles in the slice overlaps,

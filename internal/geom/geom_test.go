@@ -87,16 +87,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestBoundingBox(t *testing.T) {
-	bb := BoundingBox([]Rect{{0, 0, 1, 1}, {5, 5, 1, 2}})
-	if !almostEq(bb.MaxX(), 6) || !almostEq(bb.MaxY(), 7) {
-		t.Errorf("BoundingBox = %v", bb)
-	}
-	if !BoundingBox(nil).Empty() {
-		t.Errorf("bounding box of nothing should be empty")
-	}
-}
-
 func TestAnyOverlap(t *testing.T) {
 	rects := []Rect{{0, 0, 1, 1}, {2, 0, 1, 1}, {2.5, 0.5, 1, 1}}
 	i, j, ov := AnyOverlap(rects)

@@ -602,15 +602,18 @@ func (e *Engine) PeakC(ctx context.Context, b perf.Benchmark, pl floorplan.Place
 //
 //  1. spatial tier (when pol.Spatial): the calibrated compact model
 //     predicts the per-chiplet peak vector; its hottest entry decides the
-//     evaluation when it lands farther than
-//     max(pol.SpatialMarginC, calibration worst-case error) from
-//     pol.ThresholdC. First use calibrates the benchmark's model from the
-//     fixed DoE simulations (memoized per engine).
+//     evaluation when it lands farther than its calibration's worst-case
+//     error from pol.ThresholdC. First use calibrates the benchmark's model
+//     from the fixed DoE simulations (memoized per engine).
 //  2. scalar tier (when pol.ScalarMarginC >= 0 and op is not the canonical
 //     calibration point): the scalar surrogate, calibrated from the
 //     memoized canonical simulation of the same placement and core count,
 //     decides when its estimate sits farther than pol.ScalarMarginC from
-//     pol.ThresholdC.
+//     pol.ThresholdC. It earns its place on spatial-off searches (the
+//     CLI and experiment default): EXPERIMENTS.md's scalar-rung ablation
+//     row measures 163/159/148 → 133/129/118 full simulations with
+//     identical winners. Behind the spatial tier it decides ~2
+//     evaluations per search and saves none.
 //  3. the full leakage-coupled simulation (memoized).
 //
 // The returned value is a pure function of the arguments, the policy, and
@@ -639,7 +642,7 @@ func (e *Engine) PeakCPolicy(ctx context.Context, b perf.Benchmark, pl floorplan
 			esc.spatialPredC, esc.spatialBoundC, esc.spatialMarginC = pred, bound, margin
 			st.SpatialConsulted = true
 			st.SpatialPredC, st.SpatialBoundC, st.SpatialMarginC = pred, bound, margin
-			if margin > math.Max(pol.SpatialMarginC, bound) {
+			if margin > bound {
 				st.Fidelity = FidelitySpatial
 				st.Reason = "spatial_decisive"
 				e.spatialEvals.Add(1)

@@ -213,7 +213,7 @@ func BenchmarkSpatialPredict(b *testing.B) {
 	if _, err := eng.SpatialPredictPeakC(ctx, cfg.Benchmark, pl, op, 160); err != nil {
 		b.Fatal(err)
 	}
-	pol := EvalPolicy{ThresholdC: cfg.ThresholdC, ScalarMarginC: cfg.SurrogateMarginC, SpatialMarginC: cfg.SpatialMarginC, Spatial: true}
+	pol := EvalPolicy{ThresholdC: cfg.ThresholdC, ScalarMarginC: cfg.SurrogateMarginC, Spatial: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := eng.PeakCPolicy(ctx, cfg.Benchmark, pl, op, 160, pol); err != nil {

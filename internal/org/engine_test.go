@@ -326,4 +326,31 @@ func TestEngineCacheSharesAndEvicts(t *testing.T) {
 	if a2 != a {
 		t.Fatal("recently used engine was evicted")
 	}
+	d, err := cache.Get(cfgD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Peers address engines by fingerprint hash; a lookup hit counts as use.
+	if got := cache.Lookup(a.FingerprintHash()); got != a {
+		t.Fatalf("Lookup(A's hash) = %p, want %p", got, a)
+	}
+	if got := cache.Lookup("no-such-fingerprint"); got != nil {
+		t.Fatalf("Lookup of an unknown hash = %p, want nil", got)
+	}
+	if res := cache.Resident(); len(res) != 2 || res[0] != d || res[1] != a {
+		t.Fatalf("Resident() = %v, want [D A] (least recently used first)", res)
+	}
+	pl, err := floorplan.PaperOrgForInterposer(16, 30, 0.5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.Simulate(context.Background(), cfgA.Benchmark, pl, power.FrequencySet[0], 192); err != nil {
+		t.Fatal(err)
+	}
+	if n := cache.MemoLen(); n != 1 {
+		t.Fatalf("MemoLen() = %d, want the one resident simulation", n)
+	}
+	if st := cache.Stats(); st.ThermalSims != 1 || st.Misses != 1 {
+		t.Fatalf("Stats() = %+v, want one miss and one thermal simulation", st)
+	}
 }

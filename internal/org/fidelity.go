@@ -49,21 +49,17 @@ type EvalPolicy struct {
 	// margin of ThresholdC escalate to the full simulation. Negative
 	// disables the scalar tier.
 	ScalarMarginC float64
-	// SpatialMarginC gates the spatial tier; the effective margin is
-	// max(SpatialMarginC, the class calibration's worst-case error), so a
-	// poorly fitting calibration escalates more, never less.
-	SpatialMarginC float64
 	// Spatial enables the spatial tier (calibrating the benchmark's model
-	// on first use).
+	// on first use). Its margin is the class calibration's worst-case
+	// error, so a poorly fitting calibration escalates more, never less.
 	Spatial bool
 }
 
 // evalPolicy derives the evaluation policy from a search configuration.
 func (c Config) evalPolicy() EvalPolicy {
 	return EvalPolicy{
-		ThresholdC:     c.ThresholdC,
-		ScalarMarginC:  c.SurrogateMarginC,
-		SpatialMarginC: c.SpatialMarginC,
-		Spatial:        c.SpatialSurrogate,
+		ThresholdC:    c.ThresholdC,
+		ScalarMarginC: c.SurrogateMarginC,
+		Spatial:       c.SpatialSurrogate,
 	}
 }

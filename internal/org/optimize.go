@@ -244,15 +244,10 @@ func (s *Searcher) MaxIPSAtEdge(edgeMM float64) (Organization, bool, error) {
 	return Organization{}, false, nil
 }
 
-// MinObjectiveAtEdge returns the minimum Eq. (5) value achievable at a
-// fixed interposer edge for the configured (α, β), the Fig. 7 quantity.
-func (s *Searcher) MinObjectiveAtEdge(edgeMM float64) (float64, Organization, bool, error) {
-	return s.MinObjectiveAtEdgeWith(s.cfg.Objective, edgeMM)
-}
-
-// MinObjectiveAtEdgeWith is MinObjectiveAtEdge for an explicit (α, β) pair,
-// letting one searcher (and its memoized simulations) serve several weight
-// choices, as Fig. 7 plots.
+// MinObjectiveAtEdgeWith returns the minimum Eq. (5) value achievable at a
+// fixed interposer edge for an explicit (α, β) pair, the Fig. 7 quantity.
+// The weights are an argument so one searcher (and its memoized
+// simulations) serves several weight choices, as Fig. 7 plots.
 func (s *Searcher) MinObjectiveAtEdgeWith(o Objective, edgeMM float64) (float64, Organization, bool, error) {
 	if err := o.Validate(); err != nil {
 		return 0, Organization{}, false, err

@@ -135,18 +135,13 @@ type Config struct {
 	// fixed design-of-experiments set of full simulations predicts the
 	// per-chiplet peak vector and decides evaluations that land clearly
 	// away from the threshold, before the scalar tier is even consulted.
-	// Escalation is conservative (see SpatialMarginC), so every decided
+	// Escalation is conservative: a spatial prediction decides an
+	// evaluation only when it lands farther than the calibration's
+	// recorded worst-case error from the threshold, so every decided
 	// evaluation agrees with the full simulation on which side of the
 	// threshold it falls; the verify drift tier pins winner parity against
 	// the full-fidelity search on the golden corpus. Off by default.
 	SpatialSurrogate bool
-	// SpatialMarginC is the spatial tier's escalation margin: a spatial
-	// prediction decides an evaluation only when it lands farther than
-	// max(SpatialMarginC, calibration worst-case error) from the
-	// threshold. Larger is safer and slower; the calibration bound is the
-	// floor, so the default of 0 never trusts the model beyond its
-	// recorded worst-case error.
-	SpatialMarginC float64
 
 	// Substrate configuration.
 	Thermal    thermal.Config
@@ -175,7 +170,6 @@ func DefaultConfig(b perf.Benchmark) Config {
 		Seed:             1,
 		TCO:              cost.DefaultTCOParams(),
 		SurrogateMarginC: 3,
-		SpatialMarginC:   0,
 		Thermal:          tc,
 		CostParams:       cost.DefaultParams(),
 		Leakage:          power.DefaultLeakage(),

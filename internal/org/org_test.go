@@ -307,7 +307,7 @@ func TestMinObjectiveAtEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, o, found, err := s.MinObjectiveAtEdge(30)
+	obj, o, found, err := s.MinObjectiveAtEdgeWith(cfg.Objective, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package org
 import (
 	"sort"
 
-	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/power"
 )
 
@@ -84,41 +83,4 @@ func paretoFilter(all []Organization) []Organization {
 		}
 	}
 	return front
-}
-
-// MinFeasibleEdge returns the smallest configured interposer edge at which
-// the benchmark can run (f, p) for the given chiplet count, using the
-// greedy placement search and the monotonicity of cooling in interposer
-// size (binary search over the edge grid). found is false when even the
-// largest edge fails.
-func (s *Searcher) MinFeasibleEdge(n int, op power.DVFSPoint, p int) (float64, floorplan.Placement, bool, error) {
-	edges := s.edges(n)
-	if len(edges) == 0 {
-		return 0, floorplan.Placement{}, false, nil
-	}
-	lo, hi := 0, len(edges)-1
-	// Fast reject: largest edge infeasible means everything is.
-	pl, _, found, err := s.FindPlacement(n, edges[hi], op, p)
-	if err != nil {
-		return 0, floorplan.Placement{}, false, err
-	}
-	if !found {
-		return 0, floorplan.Placement{}, false, nil
-	}
-	bestPl := pl
-	bestEdge := edges[hi]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		pl, _, found, err := s.FindPlacement(n, edges[mid], op, p)
-		if err != nil {
-			return 0, floorplan.Placement{}, false, err
-		}
-		if found {
-			hi = mid
-			bestPl, bestEdge = pl, edges[mid]
-		} else {
-			lo = mid + 1
-		}
-	}
-	return bestEdge, bestPl, true, nil
 }

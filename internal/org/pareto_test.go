@@ -69,41 +69,3 @@ func TestParetoFilter(t *testing.T) {
 		t.Fatalf("wrong front: %+v", front)
 	}
 }
-
-func TestMinFeasibleEdge(t *testing.T) {
-	s, err := NewSearcher(fastConfig(t, "shock"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full throttle needs a large interposer; half throttle a small one.
-	edgeFull, plFull, found, err := s.MinFeasibleEdge(16, power.FrequencySet[0], 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("full-throttle shock should fit on some 16-chiplet interposer")
-	}
-	if err := plFull.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	edgeHalf, _, found, err := s.MinFeasibleEdge(16, power.FrequencySet[2], 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("half-throttle shock should fit easily")
-	}
-	if edgeHalf >= edgeFull {
-		t.Fatalf("lighter load should need a smaller interposer: %.1f vs %.1f", edgeHalf, edgeFull)
-	}
-	// A hopeless load on a capped edge grid: no result, no error.
-	cfg := fastConfig(t, "shock")
-	cfg.InterposerMaxMM = 22
-	s2, err := NewSearcher(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, found, err := s2.MinFeasibleEdge(16, power.FrequencySet[0], 256); err != nil || found {
-		t.Fatalf("expected (not found, nil), got (%v, %v)", found, err)
-	}
-}

@@ -142,7 +142,7 @@ func TestSpatialTierEscalatesNearThreshold(t *testing.T) {
 
 	// Threshold right at the simulated peak: the spatial (and scalar)
 	// tiers must escalate, returning the bit-exact full value.
-	near := EvalPolicy{ThresholdC: full.PeakC, ScalarMarginC: cfg.SurrogateMarginC, SpatialMarginC: cfg.SpatialMarginC, Spatial: true}
+	near := EvalPolicy{ThresholdC: full.PeakC, ScalarMarginC: cfg.SurrogateMarginC, Spatial: true}
 	peak, st, err := eng.PeakCPolicy(ctx, cfg.Benchmark, pl, op, p, near)
 	if err != nil {
 		t.Fatal(err)

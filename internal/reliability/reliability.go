@@ -42,6 +42,7 @@ func (m Model) Validate() error {
 
 // AccelerationFactor returns how much faster wear-out proceeds at tHotC
 // than at tRefC (both °C). Values above 1 mean the hot part ages faster.
+// It is also the lifetime ratio MTTF(tRefC) / MTTF(tHotC).
 func (m Model) AccelerationFactor(tRefC, tHotC float64) (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
@@ -52,12 +53,6 @@ func (m Model) AccelerationFactor(tRefC, tHotC float64) (float64, error) {
 		return 0, fmt.Errorf("reliability: temperatures below absolute zero")
 	}
 	return math.Exp(m.ActivationEV / BoltzmannEV * (1/tRef - 1/tHot)), nil
-}
-
-// LifetimeRatio returns MTTF(cool) / MTTF(hot): how many times longer a
-// device operating at tCoolC lasts versus one at tHotC.
-func (m Model) LifetimeRatio(tCoolC, tHotC float64) (float64, error) {
-	return m.AccelerationFactor(tCoolC, tHotC)
 }
 
 // WeightedLifetimeRatio aggregates per-core temperatures: wear-out is

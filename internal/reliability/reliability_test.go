@@ -42,6 +42,8 @@ func TestAccelerationFactorKnownValue(t *testing.T) {
 	}
 }
 
+// The lifetime ratio MTTF(cool) / MTTF(hot) is AccelerationFactor(cool, hot)
+// and never falls below 1.
 func TestLifetimeRatioMonotone(t *testing.T) {
 	m := DefaultModel()
 	f := func(aRaw, bRaw float64) bool {
@@ -50,7 +52,7 @@ func TestLifetimeRatioMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		r, err := m.LifetimeRatio(a, b)
+		r, err := m.AccelerationFactor(a, b)
 		if err != nil {
 			return false
 		}

@@ -97,6 +97,65 @@ func snapshotTrace(ctx context.Context) *obs.TraceJSON {
 	return tr.Snapshot()
 }
 
+// Served is the per-request part of a cached single-request answer: whether
+// the result cache answered it, its content address, the request's wall
+// time and, under ?trace=1, its span tree. Every other field of an answer
+// is a pure function of the request and shared through the cache.
+type Served struct {
+	Cached    bool           `json:"cached"`
+	CacheKey  string         `json:"cache_key"`
+	ElapsedMS float64        `json:"elapsed_ms"`
+	Trace     *obs.TraceJSON `json:"trace,omitempty"`
+}
+
+func (sv *Served) served() *Served { return sv }
+
+// lookup answers one single request through the result cache. Under a
+// cache.lookup span it runs compute on the worker pool on a miss; the cache
+// runs the computation on a context detached from this request (its
+// lifetime is refcounted across all waiters), so the closure reattaches the
+// trace, logger and request ID first. It marks the trace's cache attribute,
+// counts the hit or miss for endpoint, and returns a copy of the shared
+// cached value with its Served fields stamped for this request.
+func lookup[T any, P interface {
+	*T
+	served() *Served
+}](s *Server, ctx context.Context, r *http.Request, endpoint, key string, start time.Time,
+	compute func(context.Context) (any, error)) (*T, error) {
+	ctx, csp := obs.Start(ctx, "cache.lookup")
+	val, hit, err := s.cache.Do(ctx, key, func(runCtx context.Context) (any, error) {
+		runCtx = obs.Reattach(runCtx, ctx)
+		return s.pool.Do(runCtx, compute)
+	})
+	csp.SetAttr("hit", hit)
+	csp.SetAttr("key", key)
+	csp.End()
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		if hit {
+			tr.SetAttr("cache", "hit")
+		} else {
+			tr.SetAttr("cache", "miss")
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		s.cacheHits.With(endpoint).Inc()
+	} else {
+		s.cacheMisses.With(endpoint).Inc()
+	}
+	resp := *(val.(*T)) // copy: the cached value is shared
+	sv := P(&resp).served()
+	sv.Cached = hit
+	sv.CacheKey = key
+	sv.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
+	if wantTrace(r) {
+		sv.Trace = snapshotTrace(ctx)
+	}
+	return &resp, nil
+}
+
 // ---------------------------------------------------------------------------
 // POST /v1/thermal/solve
 
@@ -160,15 +219,12 @@ type SolveRequest struct {
 // SolveResponse reports the converged solve. Trace is the request's span
 // tree, included only when the client asked with ?trace=1.
 type SolveResponse struct {
-	PeakC             float64        `json:"peak_c"`
-	TotalPowerW       float64        `json:"total_power_w"`
-	MeshPowerW        float64        `json:"mesh_power_w"`
-	LeakageIterations int            `json:"leakage_iterations"`
-	CGIterations      int            `json:"cg_iterations"`
-	Cached            bool           `json:"cached"`
-	CacheKey          string         `json:"cache_key"`
-	ElapsedMS         float64        `json:"elapsed_ms"`
-	Trace             *obs.TraceJSON `json:"trace,omitempty"`
+	PeakC             float64 `json:"peak_c"`
+	TotalPowerW       float64 `json:"total_power_w"`
+	MeshPowerW        float64 `json:"mesh_power_w"`
+	LeakageIterations int     `json:"leakage_iterations"`
+	CGIterations      int     `json:"cg_iterations"`
+	Served
 	// precond is the preconditioner the solve's model ran, for the
 	// chipletd_cg_iterations label; it is not encoded.
 	precond string
@@ -308,40 +364,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, endpoint, http.StatusBadRequest, err, start)
 		return
 	}
-	// The cache runs the computation on a context detached from this
-	// request (its lifetime is refcounted across all waiters), so the
-	// closure reattaches the trace/logger/request ID before handing the
-	// work to the pool.
-	ctx, csp := obs.Start(ctx, "cache.lookup")
-	val, hit, err := s.cache.Do(ctx, key, func(runCtx context.Context) (any, error) {
-		runCtx = obs.Reattach(runCtx, ctx)
-		return s.pool.Do(runCtx, s.solveComputer(sp))
-	})
-	csp.SetAttr("hit", hit)
-	csp.SetAttr("key", key)
-	csp.End()
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		if hit {
-			tr.SetAttr("cache", "hit")
-		} else {
-			tr.SetAttr("cache", "miss")
-		}
-	}
+	resp, err := lookup[SolveResponse](s, ctx, r, endpoint, key, start, s.solveComputer(sp))
 	if err != nil {
 		s.fail(w, r, endpoint, errStatus(err), err, start)
 		return
-	}
-	if hit {
-		s.cacheHits.With(endpoint).Inc()
-	} else {
-		s.cacheMisses.With(endpoint).Inc()
-	}
-	resp := *(val.(*SolveResponse)) // copy: the cached value is shared
-	resp.Cached = hit
-	resp.CacheKey = key
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
-	if wantTrace(r) {
-		resp.Trace = snapshotTrace(ctx)
 	}
 	s.finish(w, endpoint, http.StatusOK, resp, start)
 }
@@ -402,12 +428,9 @@ type SearchResponse struct {
 	// process-wide evaluation memo: evaluations answered from completed
 	// entries and evaluations that joined another request's in-flight
 	// simulation.
-	EngineMemoHits   int64          `json:"engine_memo_hits"`
-	EngineDedupWaits int64          `json:"engine_dedup_waits"`
-	Cached           bool           `json:"cached"`
-	CacheKey         string         `json:"cache_key"`
-	ElapsedMS        float64        `json:"elapsed_ms"`
-	Trace            *obs.TraceJSON `json:"trace,omitempty"`
+	EngineMemoHits   int64 `json:"engine_memo_hits"`
+	EngineDedupWaits int64 `json:"engine_dedup_waits"`
+	Served
 	// Audit is the search convergence audit trail (restart seeds, accepted
 	// and rejected moves, per-evaluation fidelity decisions), included only
 	// when the client asked with ?audit=1. Cached responses return the trail
@@ -531,36 +554,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.streamSearch(w, r, ctx, cfg, req.Exhaustive, key, start)
 		return
 	}
-	ctx, csp := obs.Start(ctx, "cache.lookup")
-	val, hit, err := s.cache.Do(ctx, key, func(runCtx context.Context) (any, error) {
-		runCtx = obs.Reattach(runCtx, ctx)
-		return s.pool.Do(runCtx, s.searchComputer(cfg, req.Exhaustive, key, nil))
-	})
-	csp.SetAttr("hit", hit)
-	csp.SetAttr("key", key)
-	csp.End()
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		if hit {
-			tr.SetAttr("cache", "hit")
-		} else {
-			tr.SetAttr("cache", "miss")
-		}
-	}
+	resp, err := lookup[SearchResponse](s, ctx, r, endpoint, key, start,
+		s.searchComputer(cfg, req.Exhaustive, key, nil))
 	if err != nil {
 		s.fail(w, r, endpoint, errStatus(err), err, start)
 		return
-	}
-	if hit {
-		s.cacheHits.With(endpoint).Inc()
-	} else {
-		s.cacheMisses.With(endpoint).Inc()
-	}
-	resp := *(val.(*SearchResponse))
-	resp.Cached = hit
-	resp.CacheKey = key
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
-	if wantTrace(r) {
-		resp.Trace = snapshotTrace(ctx)
 	}
 	if !wantAudit(r) {
 		// The trail rides the cached value; strip it from the copy unless

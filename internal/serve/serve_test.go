@@ -330,12 +330,13 @@ func TestSearchBadRequest(t *testing.T) {
 		"no_benchmark": `{"threshold_c": 85}`,
 		"unknown":      `{"benchmark": "swaptions", "wat": 1}`,
 		"huge_grid":    `{"benchmark": "swaptions", "thermal_grid_n": 4096}`,
-		// Removed solver knobs: a stale body fails loudly.
+		// Removed solver and search knobs: a stale body fails loudly.
 		"warm_start":       `{"benchmark": "swaptions", "warm_start": true}`,
 		"warm_start_cache": `{"benchmark": "swaptions", "warm_start_cache": 8}`,
 		"preconditioner":   `{"benchmark": "swaptions", "preconditioner": "mg"}`,
 		"kernel_threads":   `{"benchmark": "swaptions", "kernel_threads": 2}`,
 		"parallel_workers": `{"benchmark": "swaptions", "parallel_workers": 2}`,
+		"spatial_margin_c": `{"benchmark": "swaptions", "spatial_margin_c": 1}`,
 	} {
 		rec := postJSON(t, s.Handler(), "/v1/org/search", body)
 		if rec.Code != http.StatusBadRequest {

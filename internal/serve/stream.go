@@ -105,28 +105,14 @@ func (s *Server) streamSearch(w http.ResponseWriter, r *http.Request, ctx contex
 			sink.send("search", ev)
 		}
 	}
-	ctx, csp := obs.Start(ctx, "cache.lookup")
-	val, hit, err := s.cache.Do(ctx, key, func(runCtx context.Context) (any, error) {
-		runCtx = obs.Reattach(runCtx, ctx)
-		return s.pool.Do(runCtx, s.searchComputer(cfg, exhaustive, key, notify))
-	})
-	csp.SetAttr("hit", hit)
-	csp.End()
+	resp, err := lookup[SearchResponse](s, ctx, r, endpoint, key, start,
+		s.searchComputer(cfg, exhaustive, key, notify))
 	if err != nil {
 		code := errStatus(err)
 		s.requests.With(endpoint, statusLabel(code)).Inc()
 		sink.send("error", streamErrorEvent{Error: err.Error(), Status: code, RequestID: obs.RequestID(r.Context())})
 		return
 	}
-	if hit {
-		s.cacheHits.With(endpoint).Inc()
-	} else {
-		s.cacheMisses.With(endpoint).Inc()
-	}
-	resp := *(val.(*SearchResponse))
-	resp.Cached = hit
-	resp.CacheKey = key
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
 	if !wantAudit(r) {
 		resp.Audit = nil
 	}

@@ -74,12 +74,9 @@ type TCOResponse struct {
 	Fidelity string          `json:"fidelity"`
 	// PredPeakC and ThresholdC report the spatial thermal check (present
 	// only at fidelity "spatial").
-	PredPeakC  float64        `json:"pred_peak_c,omitempty"`
-	ThresholdC float64        `json:"threshold_c,omitempty"`
-	Cached     bool           `json:"cached"`
-	CacheKey   string         `json:"cache_key"`
-	ElapsedMS  float64        `json:"elapsed_ms"`
-	Trace      *obs.TraceJSON `json:"trace,omitempty"`
+	PredPeakC  float64 `json:"pred_peak_c,omitempty"`
+	ThresholdC float64 `json:"threshold_c,omitempty"`
+	Served
 }
 
 // tcoSpec is a fully validated TCO request: resolved model constants plus
@@ -334,29 +331,10 @@ func (s *Server) handleTCO(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, endpoint, http.StatusBadRequest, err, start)
 		return
 	}
-	ctx, csp := obs.Start(ctx, "cache.lookup")
-	val, hit, err := s.cache.Do(ctx, key, func(runCtx context.Context) (any, error) {
-		runCtx = obs.Reattach(runCtx, ctx)
-		return s.pool.Do(runCtx, s.tcoComputer(sp, key))
-	})
-	csp.SetAttr("hit", hit)
-	csp.SetAttr("key", key)
-	csp.End()
+	resp, err := lookup[TCOResponse](s, ctx, r, endpoint, key, start, s.tcoComputer(sp, key))
 	if err != nil {
 		s.fail(w, r, endpoint, errStatus(err), err, start)
 		return
-	}
-	if hit {
-		s.cacheHits.With(endpoint).Inc()
-	} else {
-		s.cacheMisses.With(endpoint).Inc()
-	}
-	resp := *(val.(*TCOResponse)) // copy: the cached value is shared
-	resp.Cached = hit
-	resp.CacheKey = key
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
-	if wantTrace(r) {
-		resp.Trace = snapshotTrace(ctx)
 	}
 	s.finish(w, endpoint, http.StatusOK, resp, start)
 }

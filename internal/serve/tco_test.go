@@ -68,6 +68,33 @@ func TestTCOEndpoint(t *testing.T) {
 	}
 }
 
+// TestTCOTraceCacheAttr pins that a TCO request's trace records the result
+// cache's verdict, as solves and searches do, so request logs and
+// chiplettop can tell a computed elaboration from a cached one.
+func TestTCOTraceCacheAttr(t *testing.T) {
+	s := testServer(t, nil)
+	for _, want := range []string{"miss", "hit"} {
+		rec := postJSON(t, s.Handler(), "/v1/cost/tco?trace=1", tcoBody)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d, body = %s", rec.Code, rec.Body)
+		}
+		var resp TCOResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Trace == nil {
+			t.Fatal("?trace=1 response has no trace")
+		}
+		if got := resp.Trace.Attrs["cache"]; got != want {
+			t.Errorf("trace cache attr = %v, want %s", got, want)
+		}
+		sp := collectSpans(resp.Trace)["cache.lookup"]
+		if sp == nil || sp.Attrs["key"] != resp.CacheKey {
+			t.Errorf("cache.lookup span = %+v, want key %q", sp, resp.CacheKey)
+		}
+	}
+}
+
 func TestTCOEndpointBenchmarkWorkload(t *testing.T) {
 	s := testServer(t, nil)
 	rec := postJSON(t, s.Handler(), "/v1/cost/tco",

@@ -95,24 +95,6 @@ func (m *Model) nodeCapacitances() []float64 {
 	return caps
 }
 
-// Reset returns the field to ambient and zero elapsed time.
-func (ts *TransientSolver) Reset() {
-	for i := range ts.T {
-		ts.T[i] = ts.m.cfg.AmbientC
-	}
-	ts.Elapsed = 0
-}
-
-// SetState copies a previously solved steady-state field as the starting
-// condition (e.g. idle equilibrium before a sprint).
-func (ts *TransientSolver) SetState(res *Result) error {
-	if len(res.T) != len(ts.T) {
-		return fmt.Errorf("thermal: state has %d nodes, solver has %d", len(res.T), len(ts.T))
-	}
-	copy(ts.T, res.T)
-	return nil
-}
-
 // Step advances the field by one time step under the given chip-layer power
 // map (watts per cell, length Nx*Ny) and returns the new peak chip
 // temperature.
@@ -163,24 +145,4 @@ func (ts *TransientSolver) PeakC() float64 {
 func (ts *TransientSolver) ChipT() []float64 {
 	off := ts.m.ChipLayerOffset()
 	return ts.T[off : off+ts.m.nCells]
-}
-
-// TimeToThreshold integrates under a constant power map until the peak
-// chip temperature reaches thresholdC or maxTime (s) elapses. It returns
-// the crossing time (or maxTime if never crossed) and whether the
-// threshold was hit.
-func (ts *TransientSolver) TimeToThreshold(chipPower []float64, thresholdC, maxTime float64) (float64, bool, error) {
-	if ts.PeakC() >= thresholdC {
-		return 0, true, nil
-	}
-	for ts.Elapsed < maxTime {
-		peak, err := ts.Step(chipPower)
-		if err != nil {
-			return 0, false, err
-		}
-		if peak >= thresholdC {
-			return ts.Elapsed, true, nil
-		}
-	}
-	return maxTime, false, nil
 }

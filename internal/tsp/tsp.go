@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"chiplet25d/internal/floorplan"
-	"chiplet25d/internal/perf"
 	"chiplet25d/internal/power"
 	"chiplet25d/internal/thermal"
 )
@@ -125,47 +124,4 @@ func Curve(m *thermal.Model, cores []floorplan.Core, thresholdC float64, opts Op
 		out = append(out, b)
 	}
 	return out, nil
-}
-
-// GuidedConfig is the operating point TSP selects for a benchmark at one
-// core count: the fastest DVFS point whose per-core draw fits the budget.
-type GuidedConfig struct {
-	Budget Budget
-	Op     power.DVFSPoint
-	IPS    float64
-	OK     bool
-}
-
-// Guide picks, for each active core count, the highest DVFS point whose
-// per-core power (with leakage taken at the threshold temperature,
-// conservatively) fits the TSP budget, and returns the best-performing
-// configuration for the benchmark.
-func Guide(m *thermal.Model, cores []floorplan.Core, b perf.Benchmark, thresholdC float64, opts Options) (GuidedConfig, []GuidedConfig, error) {
-	curve, err := Curve(m, cores, thresholdC, opts)
-	if err != nil {
-		return GuidedConfig{}, nil, err
-	}
-	lm := opts.Leakage
-	if lm.FracAtRef == 0 && lm.TempCoeff == 0 {
-		lm = power.DefaultLeakage()
-	}
-	all := make([]GuidedConfig, 0, len(curve))
-	var best GuidedConfig
-	for _, bd := range curve {
-		gc := GuidedConfig{Budget: bd}
-		for _, op := range power.FrequencySet { // fastest first
-			draw := power.CorePower(b.RefCoreW, op, thresholdC, lm)
-			if draw <= bd.PerCoreW {
-				gc.Op = op
-				gc.IPS = b.IPS(op, bd.ActiveCores)
-				gc.OK = true
-				break
-			}
-		}
-		all = append(all, gc)
-		if gc.OK && (!best.OK || gc.IPS > best.IPS) {
-			best = gc
-		}
-	}
-	return best, all, nil
 }

@@ -25,9 +25,7 @@
 # field bit-identical to the sequential reference, under -race), the
 # org parallel-search
 # determinism gate (parallel multi-start ≡ serial bit-for-bit over a shared
-# engine, under -race), the cost Monte Carlo determinism gate (same seed →
-# bit-identical yield quantiles at any worker count, under -race), the
-# warm-solve allocation budget (zero large
+# engine, under -race), the warm-solve allocation budget (zero large
 # allocations per steady-state solve), and the multigrid CG-iteration gate
 # (the 64x64 production solve must stay within its committed iteration
 # budget — the machine-independent form of the cold-solve speedup claim).
@@ -180,13 +178,6 @@ echo "==> org package under -race"
 # Cache-friendly form (no -count): reuses the full -race run's cached result
 # when nothing changed, and re-runs the whole package otherwise.
 go test -race ./internal/org/...
-
-echo "==> cost Monte Carlo determinism gate (-race)"
-# The yield/cost quantile simulation promises the same seed produces
-# bit-identical quantiles at any worker count — the property that keeps TCO
-# sweeps memoizable and this suite deflaked. Pin it by name under -race so a
-# scheduling-dependent reduction cannot slip in.
-go test -race -count 1 -run 'TestYieldQuantilesDeterministic' ./internal/cost
 
 echo "==> thermal warm-solve allocation budget"
 # Steady-state serving must not allocate vectors: a warm SolveWarm is
