@@ -76,7 +76,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", "", "listen address (default :8080)")
 		workers    = flag.Int("workers", 0, "max concurrent solves (default GOMAXPROCS)")
-		sworkers   = flag.Int("search-workers", 0, "greedy-restart worker goroutines per org search (default GOMAXPROCS/workers, min 1)")
+		sworkers   = flag.Int("search-workers", 0, "max goroutines per org search; beyond its own worker, each borrows an idle pool slot (default GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "admission queue depth; beyond it requests get 503 (default 64)")
 		cacheCap   = flag.Int("cache", 0, "result cache capacity in entries (default 512)")
 		timeout    = flag.Duration("timeout", 0, "per-request deadline (default 60s)")

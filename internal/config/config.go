@@ -80,10 +80,10 @@ type Server struct {
 	Addr string `json:"addr,omitempty"`
 	// Workers bounds concurrent solves (default: GOMAXPROCS).
 	Workers *int `json:"workers,omitempty"`
-	// SearchWorkers is the per-search greedy-restart worker count applied to
-	// search requests that do not set their own (default: GOMAXPROCS divided
-	// by Workers, at least 1 — the second level of the worker budget: serve
-	// pool → search workers).
+	// SearchWorkers caps the goroutines one search runs at once, for search
+	// requests that do not set their own (default: GOMAXPROCS). Beyond the
+	// search's own pool worker, each goroutine borrows an idle pool slot,
+	// so a loaded pool runs each search serially.
 	SearchWorkers *int `json:"search_workers,omitempty"`
 	// QueueDepth bounds the admission queue; beyond it requests are shed
 	// with 503 (default 64).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"chiplet25d/internal/floorplan"
@@ -158,22 +157,23 @@ func (s *Searcher) findPlacement(ctx context.Context, n int, edgeMM float64, op 
 		return restartResult{pl: pl, peak: peak, found: found, err: err, ran: true}
 	}
 
-	// Restarts are the unit of parallelism. On a 2-CPU Xeon (num_cpu = 2)
-	// BenchmarkMultiStartSearch took 3.35–4.14 s serial and 2.31–2.53 s on
-	// two workers (medians 3.74 / 2.38 s, 1.57x), while splitting one solve
-	// across kernel threads stayed inside the noise and was deleted
-	// (DESIGN.md "Worker budget").
+	// Restarts are the unit of parallelism, run by the caller plus the
+	// helpers fanOut borrows (at most SearchWorkers−1). On a 2-CPU Xeon
+	// (num_cpu = 2) BenchmarkMultiStartSearch took 3.35–4.14 s serial and
+	// 2.31–2.53 s on two workers (medians 3.74 / 2.38 s, 1.57x), while
+	// splitting one solve across kernel threads stayed inside the noise and
+	// was deleted (DESIGN.md "Worker budget").
 	//
 	// Serial semantics stop at the first terminal restart (found or error),
 	// so the winner is the minimum terminal index; restarts above the
 	// current minimum can no longer affect the outcome and are skipped.
 	// Every skipped index is strictly above some terminal index, so the
 	// ascending scan below always reaches the true winner before any
-	// skipped slot. With one worker this is exactly the serial loop.
+	// skipped slot. Without helpers this is exactly the serial loop.
 	results := make([]restartResult, starts)
 	var stopAt atomic.Int64
 	stopAt.Store(int64(starts))
-	fanOut(s.cfg.SearchWorkers, starts, func(restart int) {
+	fanOut(ctx, starts, func(restart int) {
 		if int64(restart) > stopAt.Load() {
 			return // cannot beat an earlier terminal restart
 		}
@@ -334,7 +334,7 @@ func (s *Searcher) FindPlacementExhaustive(n int, edgeMM float64, op power.DVFSP
 	peaks := make([]float64, len(pls))
 	errs := make([]error, len(pls))
 	var failed atomic.Bool
-	fanOut(s.cfg.SearchWorkers, len(pls), func(i int) {
+	fanOut(ctx, len(pls), func(i int) {
 		if failed.Load() {
 			return
 		}
@@ -355,35 +355,4 @@ func (s *Searcher) FindPlacementExhaustive(n int, edgeMM float64, op power.DVFSP
 		}
 	}
 	return bestPl, bestPeak, found, nil
-}
-
-// fanOut runs fn(i) for every i in [0, n) on up to workers goroutines,
-// handing the indices out in ascending order. With one worker (or fewer)
-// it is a plain loop on the caller.
-func fanOut(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range n {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -191,6 +191,7 @@ func (s *Searcher) optimize(find placementFinder) (Result, error) {
 	osp.SetAttr("spatial_surrogate_hits", res.SpatialSurrogateHits)
 	osp.SetAttr("engine_memo_hits", s.EngineHits())
 	osp.SetAttr("engine_dedup_waits", s.EngineDedupWaits())
+	osp.SetAttr("helpers", s.helpers.Peak())
 	osp.SetAttr("feasible", res.Feasible)
 	return res, nil
 }

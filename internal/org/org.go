@@ -111,8 +111,10 @@ type Config struct {
 	// not necessarily lead to a local minimum, and a fixed order would
 	// bias the walk); SteepestDescent is provided for the ablation.
 	NeighborPolicy NeighborPolicy
-	// SearchWorkers bounds how many greedy restarts — or exhaustive-scan
-	// grid points — one search evaluates concurrently (0 or 1 = serial).
+	// SearchWorkers bounds how many greedy restarts, exhaustive-scan grid
+	// points or spatial-calibration simulations one search evaluates
+	// concurrently (0 or 1 = serial); a Lender in the search's context
+	// (WithLender) may grant fewer.
 	// Results are bit-identical to the serial search for a fixed Seed: each
 	// restart draws from its own RNG stream derived from the root seed and
 	// the winner is selected by restart (or grid) index, so worker count

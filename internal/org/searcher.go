@@ -66,10 +66,11 @@ type evalKey struct {
 // cancellation propagates into the CG iterations of in-flight thermal
 // solves.
 type Searcher struct {
-	cfg   Config
-	ctx   context.Context
-	eng   *Engine
-	audit *AuditLog // nil unless WithAudit installed one
+	cfg     Config
+	ctx     context.Context // carries helpers as its Lender
+	helpers *helperCap
+	eng     *Engine
+	audit   *AuditLog // nil unless WithAudit installed one
 
 	// Per-search effort counters (atomic: evaluations may run concurrently).
 	thermalSims      atomic.Int64
@@ -95,7 +96,7 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Searcher{cfg: cfg, ctx: context.Background(), eng: eng}, nil
+	return (&Searcher{cfg: cfg, eng: eng}).WithContext(context.Background()), nil
 }
 
 // NewSearcherWithEngine prepares a searcher backed by a shared engine (the
@@ -112,19 +113,21 @@ func NewSearcherWithEngine(cfg Config, eng *Engine) (*Searcher, error) {
 	if fp := physFingerprint(cfg); fp != eng.Fingerprint() {
 		return nil, fmt.Errorf("org: engine fingerprint mismatch: searcher config evaluates on a different physics substrate than the shared engine")
 	}
-	return &Searcher{cfg: cfg, ctx: context.Background(), eng: eng}, nil
+	return (&Searcher{cfg: cfg, eng: eng}).WithContext(context.Background()), nil
 }
 
 // WithContext installs a cancellation context and returns the receiver for
 // chaining. Every subsequent peak-temperature evaluation (and hence every
 // search built on them) checks the context and aborts with its error once
-// it is done; in-flight CG solves abort mid-iteration. Must be called
-// before the search starts.
+// it is done; in-flight CG solves abort mid-iteration. A Lender in ctx
+// (WithLender) grants the search's helper slots, at most SearchWorkers−1
+// at once; without one, all SearchWorkers−1 are always granted. Must be
+// called before the search starts.
 func (s *Searcher) WithContext(ctx context.Context) *Searcher {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.ctx = ctx
+	s.ctx, s.helpers = withHelperCap(ctx, s.cfg.SearchWorkers)
 	return s
 }
 

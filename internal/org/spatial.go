@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/obs"
@@ -201,22 +202,55 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 	if err != nil {
 		return nil, err
 	}
+	classes := []int{1, 4, 16}
+	var points []doePoint
+	for _, class := range classes {
+		points = append(points, plan[class]...)
+	}
+	// The DoE simulations are independent, so they fan out over the slots
+	// the context's Lender grants. Outputs land in plan-indexed slots and
+	// are merged in plan order, so the fit and the stats never depend on
+	// which goroutine ran what. Once a simulation fails, later indices are
+	// skipped; the ascending scan below reaches that failure first.
+	type doeOut struct {
+		smp  surrogate.Sample
+		peak float64
+		st   EvalStats
+		err  error
+	}
+	outs := make([]doeOut, len(points))
+	var failed atomic.Bool
+	helpers := fanOut(ctx, len(points), func(i int) {
+		if failed.Load() {
+			return
+		}
+		o := &outs[i]
+		var rec SimRecord
+		o.smp, rec, o.err = e.runDoESim(ctx, b, points[i], &o.st)
+		o.peak = rec.PeakC
+		if o.err != nil {
+			failed.Store(true)
+		}
+	})
+	sp.SetAttr("helpers", helpers)
+	for i := range outs {
+		if outs[i].err != nil {
+			return nil, outs[i].err
+		}
+		st.add(outs[i].st)
+	}
+
 	model := &spatialModel{classes: make(map[int]*spatialClass, len(plan))}
 	worst := 0.0
-	sims := 0
-	for _, class := range []int{1, 4, 16} {
-		points := plan[class]
-		samples := make([]surrogate.Sample, 0, len(points))
-		peaks := make([]float64, 0, len(points))
-		for _, pt := range points {
-			smp, rec, err := e.runDoESim(ctx, b, pt, st)
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, smp)
-			peaks = append(peaks, rec.PeakC)
-			sims++
+	off := 0
+	for _, class := range classes {
+		cpts := plan[class]
+		samples := make([]surrogate.Sample, len(cpts))
+		peaks := make([]float64, len(cpts))
+		for i := range cpts {
+			samples[i], peaks[i] = outs[off+i].smp, outs[off+i].peak
 		}
+		off += len(cpts)
 		cal, err := surrogate.Fit(samples, spatialHoldoutEvery)
 		if err != nil {
 			return nil, fmt.Errorf("org: spatial calibration (%d chiplets): %w", class, err)
@@ -224,7 +258,7 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 		cls := &spatialClass{cal: cal, kernels: make(map[plKey][]float64)}
 		// End-to-end replay over every DoE point (training and holdout).
 		worstE2E := 0.0
-		for i, pt := range points {
+		for i, pt := range cpts {
 			k := engineKey{bench: benchKeyOf(b), ek: evalKey{pl: keyOf(pt.pl), fIdx: pt.fIdx, cores: pt.p}}
 			nocW, err := e.nocPower(b, pt.pl, power.FrequencySet[pt.fIdx], pt.p, k)
 			if err != nil {
@@ -253,7 +287,7 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 			break
 		}
 	}
-	sp.SetAttr("doe_sims", sims)
+	sp.SetAttr("doe_sims", len(points))
 	sp.SetAttr("worst_case_err_c", worst)
 	return model, nil
 }
@@ -328,6 +362,9 @@ func (e *Engine) runDoESim(ctx context.Context, b perf.Benchmark, pt doePoint, s
 		}
 		smp.PowersW[c.Chiplet] += power.CorePower(b.RefCoreW, op, res.CoreTemps[id], e.phys.Leakage) + nocPerCore
 	}
+	// The sample holds what it needs of the field: hand it back to the
+	// model's solution pool, as runSim does.
+	res.Thermal.Recycle()
 
 	rec := newSimRecord(res, nocW, model)
 	e.insertSim(k, rec)

@@ -19,8 +19,8 @@ import (
 // computation before they ever reach the worker pool: a 64-candidate sweep
 // where 16 geometries are thermally identical runs 16 solves, not 64.
 // Execution respects the worker budget (intra-batch parallelism is bounded
-// by the serve pool; each search then fans out over its search workers as
-// usual), and with ?stream=1 per-item completion and
+// by the serve pool; a search item borrows only the slots the pool leaves
+// idle), and with ?stream=1 per-item completion and
 // search-progress events stream as SSE instead of one terminal response.
 
 // maxBatchItems bounds one batch after sweep expansion: large enough for
@@ -464,8 +464,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			gsp.SetAttr("key", key)
 			gsp.SetAttr("members", len(groups[key]))
 			val, hit, err := s.cache.Do(gctx, key, func(runCtx context.Context) (any, error) {
-				runCtx = obs.Reattach(runCtx, gctx)
-				return s.pool.Do(runCtx, rep.computer)
+				return s.runPooled(obs.Reattach(runCtx, gctx), rep.computer)
 			})
 			gsp.SetAttr("hit", hit)
 			gsp.End()

@@ -562,9 +562,16 @@ func TestBatchShedsUnderFullQueue(t *testing.T) {
 
 // TestSearchWorkersAutoCap pins the search-worker cap to the schedulable
 // Ps, not the CPU count: under GOMAXPROCS(1), extra restart workers would
-// only queue behind each other.
+// only queue behind each other. The default is GOMAXPROCS itself, not
+// GOMAXPROCS/Workers: a loaded pool lends no helpers, so the default no
+// longer has to split the CPUs between concurrent searches up front.
 func TestSearchWorkersAutoCap(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if d := testServer(t, func(o *Options) { o.Workers = 2 }); d.opts.SearchWorkers != 2 {
+		t.Errorf("default search workers = %d under GOMAXPROCS(2) with 2 pool workers, want 2", d.opts.SearchWorkers)
+	}
+
+	runtime.GOMAXPROCS(1)
 	s := testServer(t, func(o *Options) { o.SearchWorkers = 4 })
 	if s.opts.SearchWorkers != 1 {
 		t.Errorf("daemon search workers = %d under GOMAXPROCS(1), want 1", s.opts.SearchWorkers)
@@ -593,5 +600,57 @@ func TestSearchWorkersAutoCap(t *testing.T) {
 	}
 	if keyCapped != keySerial {
 		t.Error("worker count forked the canonical search key")
+	}
+}
+
+// TestSearchBorrowsIdleWorkers: a search on an idle daemon borrows the
+// pool's idle worker for its calibration simulations and restarts (the
+// org.optimize span's helpers attribute), and one issued while every
+// other worker is busy borrows nothing and runs serially.
+func TestSearchBorrowsIdleWorkers(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the search-worker cap is GOMAXPROCS; below 2 no helper may run")
+	}
+	s := testServer(t, func(o *Options) { o.Workers = 2 })
+	helpers := func(seed int) float64 {
+		t.Helper()
+		body := fmt.Sprintf(`{"benchmark": "swaptions", "thermal_grid_n": 8, "chiplet_counts": [16],
+			"interposer_min_mm": 30, "interposer_max_mm": 34, "starts": 4,
+			"spatial_surrogate": true, "seed": %d}`, seed)
+		rec := postJSON(t, s.Handler(), "/v1/org/search?trace=1", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d, body = %s", rec.Code, rec.Body)
+		}
+		var resp SearchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		sp := collectSpans(resp.Trace)["org.optimize"]
+		if sp == nil {
+			t.Fatal("trace has no org.optimize span")
+		}
+		h, ok := sp.Attrs["helpers"].(float64)
+		if !ok {
+			t.Fatalf("org.optimize helpers attr = %v", sp.Attrs["helpers"])
+		}
+		return h
+	}
+	if h := helpers(1); h < 1 {
+		t.Errorf("search on an idle daemon ran %v helpers, want ≥ 1", h)
+	}
+	if s.pool.Lends() < 1 {
+		t.Error("the pool recorded no lend")
+	}
+
+	block, started := make(chan struct{}), make(chan struct{})
+	go s.pool.Do(context.Background(), func(context.Context) (any, error) {
+		close(started)
+		<-block
+		return nil, nil
+	})
+	<-started
+	defer close(block)
+	if h := helpers(2); h != 0 {
+		t.Errorf("search with every other worker busy ran %v helpers, want 0", h)
 	}
 }

@@ -124,8 +124,7 @@ func lookup[T any, P interface {
 	compute func(context.Context) (any, error)) (*T, error) {
 	ctx, csp := obs.Start(ctx, "cache.lookup")
 	val, hit, err := s.cache.Do(ctx, key, func(runCtx context.Context) (any, error) {
-		runCtx = obs.Reattach(runCtx, ctx)
-		return s.pool.Do(runCtx, compute)
+		return s.runPooled(obs.Reattach(runCtx, ctx), compute)
 	})
 	csp.SetAttr("hit", hit)
 	csp.SetAttr("key", key)

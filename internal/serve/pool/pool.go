@@ -3,6 +3,12 @@
 // into fast 503-style rejections instead of unbounded goroutine pileup, and
 // the fixed worker count keeps the number of concurrent thermal solves (each
 // CPU- and memory-hungry) at a level the host can sustain.
+//
+// A worker slot left idle can be lent, one task at a time, to a running
+// task's independent sub-work (an org search's restarts and calibration
+// simulations) through TryLend. Lending never delays admission: workers
+// never wait for a lent slot, so a request that arrives while one is lent
+// starts at once and shares the CPU for at most one borrowed task.
 package pool
 
 import (
@@ -35,10 +41,18 @@ type result struct {
 	err error
 }
 
+// lentOne is one lent slot in Pool.state's upper 32 bits.
+const lentOne = 1 << 32
+
 // Pool is a bounded worker pool. Construct with New.
 type Pool struct {
 	queue   chan *job
-	running int32 // tasks currently executing
+	workers int
+	// state packs the tasks currently executing (low 32 bits) and the
+	// slots currently lent (high 32 bits) into one word, so TryLend
+	// checks and claims capacity in a single compare-and-swap.
+	state atomic.Int64
+	lends atomic.Int64 // successful TryLend calls
 
 	mu     sync.Mutex
 	closed bool
@@ -54,7 +68,7 @@ func New(workers, queueDepth int) *Pool {
 	if queueDepth < 1 {
 		queueDepth = 1
 	}
-	p := &Pool{queue: make(chan *job, queueDepth)}
+	p := &Pool{queue: make(chan *job, queueDepth), workers: workers}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -71,9 +85,9 @@ func (p *Pool) worker() {
 			j.done <- result{err: err}
 			continue
 		}
-		atomic.AddInt32(&p.running, 1)
+		p.state.Add(1)
 		v, err := j.fn(j.ctx)
-		atomic.AddInt32(&p.running, -1)
+		p.state.Add(-1)
 		j.done <- result{val: v, err: err}
 	}
 }
@@ -121,7 +135,33 @@ func (p *Pool) Do(ctx context.Context, fn Task) (any, error) {
 func (p *Pool) QueueDepth() int { return len(p.queue) }
 
 // Running returns the number of tasks currently executing.
-func (p *Pool) Running() int { return int(atomic.LoadInt32(&p.running)) }
+func (p *Pool) Running() int { return int(int32(p.state.Load())) }
+
+// Lends returns the number of successful TryLend calls so far.
+func (p *Pool) Lends() int64 { return p.lends.Load() }
+
+// TryLend lends one idle worker slot without blocking. It succeeds only
+// while running tasks plus lent slots are below the worker count and no
+// task waits in the admission queue. The borrower runs one task on its own
+// goroutine and then calls release, which is safe to call more than once.
+func (p *Pool) TryLend() (release func(), ok bool) {
+	for {
+		st := p.state.Load()
+		if int(int32(st))+int(st>>32) >= p.workers || len(p.queue) > 0 {
+			return nil, false
+		}
+		if p.state.CompareAndSwap(st, st+lentOne) {
+			break
+		}
+	}
+	p.lends.Add(1)
+	var done atomic.Bool
+	return func() {
+		if done.CompareAndSwap(false, true) {
+			p.state.Add(-lentOne)
+		}
+	}, true
+}
 
 // Shutdown stops admission and waits for queued and running tasks to
 // drain, or for ctx to expire (in which case the remaining tasks keep

@@ -107,3 +107,114 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal("no queued task survived the drain")
 	}
 }
+
+// holdWorkers occupies k workers with tasks that block until the returned
+// function is called.
+func holdWorkers(t *testing.T, p *Pool, k int) (unblock func()) {
+	t.Helper()
+	block := make(chan struct{})
+	for range k {
+		go p.Do(context.Background(), func(ctx context.Context) (any, error) {
+			<-block
+			return nil, nil
+		})
+	}
+	for p.Running() < k {
+		time.Sleep(time.Millisecond)
+	}
+	return func() { close(block) }
+}
+
+// TestTryLend: a slot is lent only while running tasks plus lent slots
+// stay below the worker count and the admission queue is empty, and
+// releasing (even twice) restores exactly one slot.
+func TestTryLend(t *testing.T) {
+	p := New(2, 4)
+	defer p.Shutdown(context.Background())
+
+	rel, ok := p.TryLend()
+	if !ok {
+		t.Fatal("idle pool refused to lend")
+	}
+	if p.Lends() != 1 {
+		t.Fatalf("Lends = %d after one lend, want 1", p.Lends())
+	}
+	unblock := holdWorkers(t, p, 1)
+	if _, ok := p.TryLend(); ok {
+		t.Fatal("lent a slot with one task running and one slot lent on a 2-worker pool")
+	}
+	rel()
+	rel() // idempotent: must not free a second slot
+	rel2, ok := p.TryLend()
+	if !ok {
+		t.Fatal("release did not restore capacity")
+	}
+	if _, ok := p.TryLend(); ok {
+		t.Fatal("a repeated release freed a second slot")
+	}
+	rel2()
+
+	// Both workers busy: nothing to lend.
+	unblock2 := holdWorkers(t, p, 2)
+	if _, ok := p.TryLend(); ok {
+		t.Fatal("lent a slot while every worker was busy")
+	}
+	unblock()
+	unblock2()
+}
+
+// TestTryLendRefusesWithQueue: a queued request outranks every borrower,
+// even while a worker would be free for it.
+func TestTryLendRefusesWithQueue(t *testing.T) {
+	p := New(1, 4)
+	defer p.Shutdown(context.Background())
+	unblock := holdWorkers(t, p, 1)
+	go p.Do(context.Background(), func(ctx context.Context) (any, error) { return nil, nil })
+	for p.QueueDepth() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := p.TryLend(); ok {
+		t.Fatal("lent a slot with a request waiting in the queue")
+	}
+	unblock()
+}
+
+// TestTryLendConcurrent: concurrent borrowers never hold more slots than
+// the pool has workers.
+func TestTryLendConcurrent(t *testing.T) {
+	const workers = 3
+	p := New(workers, 4)
+	defer p.Shutdown(context.Background())
+	var held, peak atomic.Int32
+	var wg sync.WaitGroup
+	for range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				rel, ok := p.TryLend()
+				if !ok {
+					continue
+				}
+				n := held.Add(1)
+				for {
+					m := peak.Load()
+					if n <= m || peak.CompareAndSwap(m, n) {
+						break
+					}
+				}
+				held.Add(-1)
+				rel()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := peak.Load(); got > workers {
+		t.Fatalf("peak concurrent lends = %d, want ≤ %d", got, workers)
+	}
+	for i := range workers { // every slot came back
+		if _, ok := p.TryLend(); !ok {
+			t.Fatalf("lend %d of %d refused after every borrower released", i+1, workers)
+		}
+	}
+}

@@ -66,13 +66,15 @@ type Options struct {
 	Addr string
 	// Workers bounds concurrent solves.
 	Workers int
-	// SearchWorkers is the per-search greedy-restart worker count applied to
-	// org-search requests that do not set their own search_workers. 0 picks
-	// max(1, GOMAXPROCS/Workers): the worker budget has two levels, serve
-	// pool → search workers, and a fully loaded pool runs each search
-	// serially. Each thermal solve runs on its caller's goroutine. Worker
-	// count never changes search results (org's determinism contract), so
-	// cached and fresh responses always agree.
+	// SearchWorkers caps the goroutines one org search (and a spatial
+	// calibration inside it) runs at once, for requests that do not set
+	// their own search_workers; 0 picks GOMAXPROCS. The search's own pool
+	// worker always works; each further goroutine borrows an idle pool
+	// slot, one restart or calibration simulation at a time (pool.TryLend),
+	// so a fully loaded pool lends nothing and each search runs serially.
+	// Each thermal solve runs on its caller's goroutine. Worker count never
+	// changes search results (org's determinism contract), so cached and
+	// fresh responses always agree.
 	SearchWorkers int
 	// SpatialSurrogate enables the spatial compact-model fidelity tier by
 	// default for org-search requests that do not set their own
@@ -198,16 +200,22 @@ func (o Options) withDefaults() Options {
 		o.AuditRingSize = d.AuditRingSize
 	}
 	if o.SearchWorkers <= 0 {
-		o.SearchWorkers = runtime.GOMAXPROCS(0) / o.Workers
-		if o.SearchWorkers < 1 {
-			o.SearchWorkers = 1
-		}
+		o.SearchWorkers = runtime.GOMAXPROCS(0)
 	}
 	o.SearchWorkers = capSearchWorkers(o.Logger, o.SearchWorkers)
 	if o.PeerTimeout <= 0 {
 		o.PeerTimeout = d.PeerTimeout
 	}
 	return o
+}
+
+// runPooled runs a task on the worker pool with the pool as the org.Lender
+// in its context, so a search or spatial calibration inside it can borrow
+// the slots the pool leaves idle.
+func (s *Server) runPooled(ctx context.Context, task pool.Task) (any, error) {
+	return s.pool.Do(ctx, func(c context.Context) (any, error) {
+		return task(org.WithLender(c, s.pool))
+	})
 }
 
 // capSearchWorkers bounds a per-search restart worker count at GOMAXPROCS.
@@ -335,6 +343,9 @@ func New(opts Options) *Server {
 	s.reg.GaugeFunc("chipletd_busy_workers",
 		"Worker-pool tasks currently executing.",
 		func() float64 { return float64(s.pool.Running()) })
+	s.reg.CounterFunc("chipletd_pool_lends_total",
+		"Idle worker slots lent to a search's restarts or calibration simulations, one task each.",
+		func() float64 { return float64(s.pool.Lends()) })
 	s.reg.GaugeFunc("chipletd_cache_entries",
 		"Entries resident in the result cache.",
 		func() float64 { return float64(s.cache.Len()) })

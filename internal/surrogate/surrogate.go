@@ -188,6 +188,12 @@ const fitSweeps = 2
 // the fit and scored afterwards; WorstCaseErrC inflates the worst observed
 // error (training or holdout) by the package safety margin.
 func Fit(samples []Sample, holdoutEvery int) (Calibration, error) {
+	return fit(samples, holdoutEvery, (*columnTable).solve)
+}
+
+// fit is Fit with the descent's candidate scorer as a parameter, so a test
+// can drive the same descent with a reference scorer.
+func fit(samples []Sample, holdoutEvery int, solve func(*columnTable, []int) float64) (Calibration, error) {
 	if len(samples) == 0 {
 		return Calibration{}, fmt.Errorf("surrogate: no samples to fit")
 	}
@@ -226,7 +232,7 @@ func Fit(samples []Sample, holdoutEvery int) (Calibration, error) {
 		for i := range idx {
 			idx[i] = start
 		}
-		sse := tab.solve(idx)
+		sse := solve(tab, idx)
 		for sweep := 0; sweep < fitSweeps; sweep++ {
 			for i := 0; i < n; i++ {
 				bi := idx[i]
@@ -235,7 +241,7 @@ func Fit(samples []Sample, holdoutEvery int) (Calibration, error) {
 						continue
 					}
 					idx[i] = li
-					if s := tab.solve(idx); s < sse {
+					if s := solve(tab, idx); s < sse {
 						sse = s
 						bi = li
 					}
@@ -269,15 +275,27 @@ func Fit(samples []Sample, holdoutEvery int) (Calibration, error) {
 }
 
 // columnTable precomputes, for every training sample, the kernel column of
-// every (source chiplet, candidate spread) pair, so each descent candidate
-// is scored by indexing rather than by re-evaluating the closed form.
+// every (source chiplet, candidate spread) pair, and the Gram table of all
+// those candidate columns plus the bias column, so each descent candidate
+// gathers its normal equations by indexing instead of re-accumulating
+// them over every sample row.
 type columnTable struct {
 	n   int
 	dim int
 	ss  []tabSample
-	ata []float64
-	aty []float64
-	x   []float64
+	// nc = len(spreadGridMM)·n + 1 candidate columns: column li·n+i is
+	// source i's power times its kernel at spread spreadGridMM[li], and
+	// column nc−1 is the total power (the bias regressor).
+	nc int
+	// gram[c·nc+d] = Σ x_c·x_d and gy[c] = Σ x_c·y over every (sample,
+	// target) row in assembly order, each entry the same sequence of
+	// float additions the per-candidate assembly performed, so a gathered
+	// system is bit-identical to an assembled one.
+	gram []float64
+	gy   []float64
+	cidx []int
+	ata  []float64
+	aty  []float64
 }
 
 type tabSample struct {
@@ -291,11 +309,14 @@ type tabSample struct {
 
 func newColumnTable(train []Sample) *columnTable {
 	n := len(train[0].CentersMM)
-	t := &columnTable{n: n, dim: n + 1}
+	nl := len(spreadGridMM)
+	t := &columnTable{n: n, dim: n + 1, nc: nl*n + 1}
 	t.ata = make([]float64, t.dim*t.dim)
 	t.aty = make([]float64, t.dim)
-	t.x = make([]float64, t.dim)
-	nl := len(spreadGridMM)
+	t.cidx = make([]int, t.dim)
+	t.gram = make([]float64, t.nc*t.nc)
+	t.gy = make([]float64, t.nc)
+	x := make([]float64, t.nc)
 	for _, s := range train {
 		ts := tabSample{powers: s.PowersW, rise: s.RiseC, cols: make([]float64, nl*n*n)}
 		for _, w := range s.PowersW {
@@ -310,7 +331,28 @@ func newColumnTable(train []Sample) *columnTable {
 				}
 			}
 		}
+		for j := 0; j < n; j++ {
+			for c := 0; c < t.nc-1; c++ {
+				x[c] = ts.powers[c%n] * ts.cols[c*n+j]
+			}
+			x[t.nc-1] = ts.total
+			y := ts.rise[j]
+			for c := 0; c < t.nc; c++ {
+				xc := x[c]
+				row := t.gram[c*t.nc:]
+				for d := c; d < t.nc; d++ {
+					row[d] += xc * x[d]
+				}
+				t.gy[c] += xc * y
+			}
+		}
 		t.ss = append(t.ss, ts)
+	}
+	// Products commute bit-for-bit, so the mirrored half is exact.
+	for c := 0; c < t.nc; c++ {
+		for d := 0; d < c; d++ {
+			t.gram[c*t.nc+d] = t.gram[d*t.nc+c]
+		}
 	}
 	return t
 }
@@ -319,31 +361,24 @@ func newColumnTable(train []Sample) *columnTable {
 // same ridge normal equations as solveAmps) and returns the training SSE.
 func (t *columnTable) solve(idx []int) float64 {
 	n, dim := t.n, t.dim
-	for a := range t.ata {
-		t.ata[a] = 0
+	for i := 0; i < n; i++ {
+		t.cidx[i] = idx[i]*n + i
 	}
-	for a := range t.aty {
-		t.aty[a] = 0
-	}
-	for si := range t.ss {
-		s := &t.ss[si]
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				t.x[i] = s.powers[i] * s.cols[(idx[i]*n+i)*n+j]
-			}
-			t.x[n] = s.total
-			y := s.rise[j]
-			for a := 0; a < dim; a++ {
-				xa := t.x[a]
-				row := t.ata[a*dim:]
-				for b := a; b < dim; b++ {
-					row[b] += xa * t.x[b]
-				}
-				t.aty[a] += xa * y
-			}
+	t.cidx[n] = t.nc - 1
+	for a := 0; a < dim; a++ {
+		row := t.gram[t.cidx[a]*t.nc:]
+		for b := a; b < dim; b++ {
+			t.ata[a*dim+b] = row[t.cidx[b]]
 		}
+		t.aty[a] = t.gy[t.cidx[a]]
 	}
-	w := solveRidge(t.ata, t.aty, dim)
+	return t.sse(solveRidge(t.ata, t.aty, dim), idx)
+}
+
+// sse is the training sum of squared errors of amplitudes and bias w at
+// one spread-index assignment.
+func (t *columnTable) sse(w []float64, idx []int) float64 {
+	n := t.n
 	sse := 0.0
 	for si := range t.ss {
 		s := &t.ss[si]
@@ -403,7 +438,8 @@ func solveAmps(spreadsMM []float64, samples []Sample) (amps []float64, bias, sse
 // solveRidge mirrors an upper-triangle-assembled normal matrix, adds the
 // relative ridge (1e-8 of the mean diagonal — enough to keep exactly
 // collinear systems determinate and finite, far too small to perturb a
-// well-conditioned fit), and solves. Both fit paths share it so their
+// well-conditioned fit), and solves in place (ata is destroyed, the
+// solution is returned in aty's storage). Both fit paths share it so their
 // results are bit-identical.
 func solveRidge(ata, aty []float64, dim int) []float64 {
 	trace := 0.0
@@ -426,11 +462,8 @@ func solveRidge(ata, aty []float64, dim int) []float64 {
 // solveSPD solves the dim x dim symmetric positive-definite system a·x = b
 // by Gaussian elimination with partial pivoting (the ridge guarantees
 // definiteness; pivoting adds robustness at negligible cost for dim <= 17).
-func solveSPD(a, b []float64, dim int) []float64 {
-	m := make([]float64, len(a))
-	copy(m, a)
-	x := make([]float64, dim)
-	copy(x, b)
+// It works in place: a is destroyed and x is returned in b's storage.
+func solveSPD(m, x []float64, dim int) []float64 {
 	for col := 0; col < dim; col++ {
 		piv := col
 		for r := col + 1; r < dim; r++ {

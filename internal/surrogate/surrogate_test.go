@@ -237,3 +237,93 @@ func TestFitRejectsMalformedSamples(t *testing.T) {
 		t.Fatal("mixed chiplet-count classes: want error")
 	}
 }
+
+// referenceSolve is the per-candidate assembly the Gram table replaced:
+// it re-accumulates the normal equations over every sample row.
+func referenceSolve(t *columnTable, idx []int) float64 {
+	n, dim := t.n, t.dim
+	ata := make([]float64, dim*dim)
+	aty := make([]float64, dim)
+	x := make([]float64, dim)
+	for si := range t.ss {
+		s := &t.ss[si]
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				x[i] = s.powers[i] * s.cols[(idx[i]*n+i)*n+j]
+			}
+			x[n] = s.total
+			y := s.rise[j]
+			for a := 0; a < dim; a++ {
+				xa := x[a]
+				row := ata[a*dim:]
+				for b := a; b < dim; b++ {
+					row[b] += xa * x[b]
+				}
+				aty[a] += xa * y
+			}
+		}
+	}
+	return t.sse(solveRidge(ata, aty, dim), idx)
+}
+
+// sameBits reports whether two calibrations agree bit-for-bit.
+func sameBits(a, b Calibration) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	eqs := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !eq(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return eqs(a.Params.SpreadMM, b.Params.SpreadMM) && eqs(a.Params.AmpCPerW, b.Params.AmpCPerW) &&
+		eq(a.Params.BiasCPerW, b.Params.BiasCPerW) && a.Samples == b.Samples &&
+		a.HoldoutSamples == b.HoldoutSamples && a.Rows == b.Rows &&
+		eq(a.RMSFitErrC, b.RMSFitErrC) && eq(a.WorstFitErrC, b.WorstFitErrC) &&
+		eq(a.WorstHoldoutErrC, b.WorstHoldoutErrC) && eq(a.WorstCaseErrC, b.WorstCaseErrC)
+}
+
+// The Gram-table fit gathers each candidate's normal equations from sums
+// taken in the reference assembly's row order, so Fit must return the
+// reference's calibration bit-for-bit: random layouts of 1 to 16 chiplets,
+// zero-power slots, with and without holdout.
+func TestGramFitMatchesReferenceAssembly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(16)
+		centers := make([][2]float64, n)
+		for i := range centers {
+			centers[i] = [2]float64{40 * rng.Float64(), 40 * rng.Float64()}
+		}
+		w, h := 3+6*rng.Float64(), 3+6*rng.Float64()
+		samples := make([]Sample, 4+rng.Intn(9))
+		for si := range samples {
+			powers := make([]float64, n)
+			rise := make([]float64, n)
+			for i := range powers {
+				if rng.Intn(4) != 0 {
+					powers[i] = 50 * rng.Float64()
+				}
+				rise[i] = 60 * rng.Float64()
+			}
+			samples[si] = Sample{CentersMM: centers, ChipWMM: w, ChipHMM: h, PowersW: powers, RiseC: rise}
+		}
+		holdout := []int{0, 3}[trial%2]
+		got, err := Fit(samples, holdout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fit(samples, holdout, referenceSolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("trial %d (n=%d, %d samples, holdout %d): Gram fit\n  %+v\nreference\n  %+v",
+				trial, n, len(samples), holdout, got, want)
+		}
+	}
+}

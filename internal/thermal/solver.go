@@ -78,8 +78,13 @@ func (r *Result) overRect(rc geom.Rect, max bool) float64 {
 	chip := r.ChipT()
 	best := math.Inf(-1)
 	sum, n := 0.0, 0
-	for iy := 0; iy < g.Ny; iy++ {
-		for ix := 0; ix < g.Nx; ix++ {
+	// Only cells in the rectangle's cell box, widened by one cell each way,
+	// can have their centers inside it (within geom.Eps), so the scan
+	// visits the same contained cells in the same order as a full sweep.
+	ix0, ix1 := cellSpan(rc.X, rc.MaxX(), g.CellW(), g.Nx)
+	iy0, iy1 := cellSpan(rc.Y, rc.MaxY(), g.CellH(), g.Ny)
+	for iy := iy0; iy <= iy1; iy++ {
+		for ix := ix0; ix <= ix1; ix++ {
 			cx, cy := g.CellRect(ix, iy).Center()
 			if !rc.ContainsPoint(cx, cy) {
 				continue
@@ -102,6 +107,14 @@ func (r *Result) overRect(rc geom.Rect, max bool) float64 {
 		return best
 	}
 	return sum / float64(n)
+}
+
+// cellSpan returns the cell indices [i0, i1] covering [lo, hi] along one
+// axis of n cells of size cell, widened by one cell each way and clamped
+// to the grid (i0 > i1 when nothing remains).
+func cellSpan(lo, hi, cell float64, n int) (i0, i1 int) {
+	clamp := func(v, a, b float64) int { return int(math.Min(b, math.Max(a, v))) }
+	return clamp(math.Floor(lo/cell)-1, 0, float64(n)), clamp(math.Floor(hi/cell)+1, -1, float64(n-1))
 }
 
 // HeatOutW returns the total heat leaving through the sink's convection

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"chiplet25d/internal/floorplan"
@@ -507,5 +508,87 @@ func TestSolveMultiErrors(t *testing.T) {
 	}
 	if _, err := res.PeakOverLayers([]int{99}); err == nil {
 		t.Errorf("expected error for out-of-range peak read")
+	}
+}
+
+// fullOverRect is the unbounded scan overRect replaced: every cell center
+// on the grid is tested against the rectangle.
+func fullOverRect(r *Result, rc geom.Rect, max bool) float64 {
+	g := r.model.grid
+	chip := r.ChipT()
+	best := math.Inf(-1)
+	sum, n := 0.0, 0
+	for iy := 0; iy < g.Ny; iy++ {
+		for ix := 0; ix < g.Nx; ix++ {
+			cx, cy := g.CellRect(ix, iy).Center()
+			if !rc.ContainsPoint(cx, cy) {
+				continue
+			}
+			t := chip[g.Index(ix, iy)]
+			if t > best {
+				best = t
+			}
+			sum += t
+			n++
+		}
+	}
+	if n == 0 {
+		cx, cy := rc.Center()
+		ix, iy := g.CellAt(cx, cy)
+		return chip[g.Index(ix, iy)]
+	}
+	if max {
+		return best
+	}
+	return sum / float64(n)
+}
+
+// The bounded scan must return the full scan's bits for any rectangle:
+// random ones, sub-cell ones, edges exactly on cell centers and boundaries
+// nudged by ±geom.Eps, rectangles partly or wholly outside the grid, and
+// negative origins.
+func TestOverRectBoundedMatchesFullScan(t *testing.T) {
+	for _, nx := range []int{12, 24} {
+		m, pmap := gridModel(t, nx)
+		res, err := m.Solve(pmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := m.Grid()
+		cw, ch := g.CellW(), g.CellH()
+		rng := rand.New(rand.NewSource(int64(nx)))
+		var rects []geom.Rect
+		for range 400 {
+			rects = append(rects, geom.Rect{
+				X: (1.2*rng.Float64() - 0.1) * g.W, Y: (1.2*rng.Float64() - 0.1) * g.H,
+				W: rng.Float64() * g.W / 2, H: rng.Float64() * g.H / 2,
+			})
+		}
+		for range 200 { // snapped to cell centers and boundaries, ±Eps
+			ix, iy := rng.Intn(g.Nx+2)-1, rng.Intn(g.Ny+2)-1
+			half := []float64{0, 0.5}[rng.Intn(2)]
+			nudge := []float64{-geom.Eps, 0, geom.Eps}
+			rects = append(rects, geom.Rect{
+				X: (float64(ix)+half)*cw + nudge[rng.Intn(3)],
+				Y: (float64(iy)+half)*ch + nudge[rng.Intn(3)],
+				W: float64(rng.Intn(4))*cw + nudge[rng.Intn(3)] + geom.Eps,
+				H: float64(rng.Intn(4))*ch + nudge[rng.Intn(3)] + geom.Eps,
+			})
+		}
+		rects = append(rects,
+			geom.Rect{X: 0.3 * cw, Y: 0.3 * ch, W: 0.1 * cw, H: 0.1 * ch}, // sub-cell
+			geom.Rect{X: -5, Y: -5, W: 3, H: 3},                           // wholly outside, negative
+			geom.Rect{X: -cw, Y: -ch, W: 3 * cw, H: 3 * ch},               // straddles the origin
+			geom.Rect{X: g.W - cw, Y: g.H - ch, W: 5 * cw, H: 5 * ch},     // past the far corner
+			geom.Rect{X: 0, Y: 0, W: g.W, H: g.H},                         // the whole grid
+		)
+		for i, rc := range rects {
+			for _, max := range []bool{true, false} {
+				got, want := res.overRect(rc, max), fullOverRect(res, rc, max)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("grid %d rect %d %+v (max=%v): bounded %v, full %v", nx, i, rc, max, got, want)
+				}
+			}
+		}
 	}
 }
