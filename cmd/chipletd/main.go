@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	chipletd [-addr :8080] [-workers N] [-search-workers N]
+//	chipletd [-addr :8080] [-workers N]
 //	         [-queue N] [-cache N] [-timeout 60s]
 //	         [-grid-max 128] [-spatial]
 //	         [-tco-node 7nm]
@@ -76,7 +76,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "", "listen address (default :8080)")
 		workers    = flag.Int("workers", 0, "max concurrent solves (default GOMAXPROCS)")
-		sworkers   = flag.Int("search-workers", 0, "max goroutines per org search; beyond its own worker, each borrows an idle pool slot (default GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "admission queue depth; beyond it requests get 503 (default 64)")
 		cacheCap   = flag.Int("cache", 0, "result cache capacity in entries (default 512)")
 		timeout    = flag.Duration("timeout", 0, "per-request deadline (default 60s)")
@@ -115,9 +114,6 @@ func main() {
 		}
 		if sc.Workers != nil {
 			opts.Workers = *sc.Workers
-		}
-		if sc.SearchWorkers != nil {
-			opts.SearchWorkers = *sc.SearchWorkers
 		}
 		if sc.QueueDepth != nil {
 			opts.QueueDepth = *sc.QueueDepth
@@ -162,9 +158,6 @@ func main() {
 	}
 	if *workers > 0 {
 		opts.Workers = *workers
-	}
-	if *sworkers > 0 {
-		opts.SearchWorkers = *sworkers
 	}
 	if *queue > 0 {
 		opts.QueueDepth = *queue

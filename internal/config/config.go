@@ -49,9 +49,9 @@ type File struct {
 	MaxNormCost *float64 `json:"max_norm_cost,omitempty"`
 	// SearchWorkers bounds the greedy restarts (or exhaustive-scan grid
 	// points) one search evaluates concurrently (0/absent: serial for the
-	// CLIs, the daemon default for chipletd). Purely a wall-clock knob:
-	// results are bit-identical at any worker count (org's determinism
-	// contract).
+	// CLIs; absent: GOMAXPROCS for chipletd, whose searches borrow only the
+	// pool slots left idle). Purely a wall-clock knob: results are
+	// bit-identical at any worker count (org's determinism contract).
 	SearchWorkers   *int     `json:"search_workers,omitempty"`
 	SurrogateMargin *float64 `json:"surrogate_margin_c,omitempty"`
 	// SpatialSurrogate enables the spatial compact-model fidelity tier
@@ -80,11 +80,6 @@ type Server struct {
 	Addr string `json:"addr,omitempty"`
 	// Workers bounds concurrent solves (default: GOMAXPROCS).
 	Workers *int `json:"workers,omitempty"`
-	// SearchWorkers caps the goroutines one search runs at once, for search
-	// requests that do not set their own (default: GOMAXPROCS). Beyond the
-	// search's own pool worker, each goroutine borrows an idle pool slot,
-	// so a loaded pool runs each search serially.
-	SearchWorkers *int `json:"search_workers,omitempty"`
 	// QueueDepth bounds the admission queue; beyond it requests are shed
 	// with 503 (default 64).
 	QueueDepth *int `json:"queue_depth,omitempty"`

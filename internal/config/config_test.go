@@ -96,6 +96,11 @@ func TestLoadErrors(t *testing.T) {
 			t.Errorf("expected error for removed server field %s", field)
 		}
 	}
+	// search_workers stays a per-search knob; the daemon-wide default it
+	// once had in the server section is gone.
+	if _, err := LoadServer(strings.NewReader(`{"server": {"search_workers": 2}}`)); err == nil {
+		t.Errorf("expected error for removed server field search_workers")
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

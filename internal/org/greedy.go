@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/obs"
@@ -171,21 +170,15 @@ func (s *Searcher) findPlacement(ctx context.Context, n int, edgeMM float64, op 
 	// ascending scan below always reaches the true winner before any
 	// skipped slot. Without helpers this is exactly the serial loop.
 	results := make([]restartResult, starts)
-	var stopAt atomic.Int64
-	stopAt.Store(int64(starts))
+	stopAt := newStopIndex(starts)
 	fanOut(ctx, starts, func(restart int) {
-		if int64(restart) > stopAt.Load() {
+		if stopAt.past(restart) {
 			return // cannot beat an earlier terminal restart
 		}
 		r := runOne(restart)
 		results[restart] = r
 		if r.terminal() {
-			for {
-				cur := stopAt.Load()
-				if int64(restart) >= cur || stopAt.CompareAndSwap(cur, int64(restart)) {
-					break
-				}
-			}
+			stopAt.stop(restart)
 		}
 	})
 	for restart := 0; restart < starts; restart++ {
@@ -328,19 +321,19 @@ func (s *Searcher) FindPlacementExhaustive(n int, edgeMM float64, op power.DVFSP
 			}
 		}
 	}
-	// Once a point fails, later points are skipped: indices are handed out
-	// in ascending order, so every skipped slot lies above a failed one and
-	// the ascending scan below returns that failure first.
+	// Points above the lowest failed one are skipped; every point below it
+	// runs, so the ascending scan below returns the error the serial loop
+	// would have.
 	peaks := make([]float64, len(pls))
 	errs := make([]error, len(pls))
-	var failed atomic.Bool
+	failedAt := newStopIndex(len(pls))
 	fanOut(ctx, len(pls), func(i int) {
-		if failed.Load() {
+		if failedAt.past(i) {
 			return
 		}
 		peaks[i], errs[i] = s.peakCtx(ctx, s.cfg.Benchmark, pls[i], op, p)
 		if errs[i] != nil {
-			failed.Store(true)
+			failedAt.stop(i)
 		}
 	})
 	bestPeak := math.Inf(1)

@@ -84,6 +84,33 @@ func casMax(a *atomic.Int32, v int32) {
 	}
 }
 
+// stopIndex is the lowest index at which a fanOut's serial loop would have
+// stopped (a terminal restart, a failed simulation). Indices above it can
+// no longer change the outcome and may be skipped; every index below the
+// final value runs to completion, so an ascending scan of the outputs
+// meets exactly the result the serial loop would have returned, and the
+// same error when one failed.
+type stopIndex struct{ v atomic.Int64 }
+
+func newStopIndex(n int) *stopIndex {
+	s := &stopIndex{}
+	s.v.Store(int64(n))
+	return s
+}
+
+// past reports whether index i lies above the current stop index.
+func (s *stopIndex) past(i int) bool { return int64(i) > s.v.Load() }
+
+// stop lowers the stop index to i.
+func (s *stopIndex) stop(i int) {
+	for {
+		cur := s.v.Load()
+		if int64(i) >= cur || s.v.CompareAndSwap(cur, int64(i)) {
+			return
+		}
+	}
+}
+
 // fanOut runs fn(i) for every i in [0, n), handing the indices out in
 // ascending order. The caller's goroutine always works. Before each of its
 // own tasks it recruits helper goroutines for the remaining work, one per

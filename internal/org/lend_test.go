@@ -3,6 +3,7 @@ package org
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,5 +97,44 @@ func TestHelperCap(t *testing.T) {
 	r1()
 	if h.Peak() != 1 || free.Peak() != 2 {
 		t.Fatalf("peaks = %d, %d, want 1, 2", h.Peak(), free.Peak())
+	}
+}
+
+// A fanOut that skips indices past the lowest failure must still run every
+// index below it, so the ascending scan returns the error the serial loop
+// would have, whichever goroutine failed first.
+func TestStopIndexKeepsSerialError(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(24)
+		fails := map[int]bool{rng.Intn(n): true, rng.Intn(n): true}
+		spins := make([]int, n)
+		for i := range spins {
+			spins[i] = rng.Intn(200)
+		}
+		l := &flakyLender{max: 3, rng: rand.New(rand.NewSource(seed))}
+		ran := make([]bool, n)
+		failedAt := newStopIndex(n)
+		fanOut(WithLender(context.Background(), l), n, func(i int) {
+			for k := 0; k < spins[i]; k++ {
+				runtime.Gosched()
+			}
+			if failedAt.past(i) {
+				return
+			}
+			ran[i] = true
+			if fails[i] {
+				failedAt.stop(i)
+			}
+		})
+		first := n
+		for i := range fails {
+			first = min(first, i)
+		}
+		for i := 0; i <= first; i++ {
+			if !ran[i] {
+				t.Fatalf("seed %d: index %d skipped below the first failure %d", seed, i, first)
+			}
+		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/obs"
@@ -210,8 +209,9 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 	// The DoE simulations are independent, so they fan out over the slots
 	// the context's Lender grants. Outputs land in plan-indexed slots and
 	// are merged in plan order, so the fit and the stats never depend on
-	// which goroutine ran what. Once a simulation fails, later indices are
-	// skipped; the ascending scan below reaches that failure first.
+	// which goroutine ran what. Simulations above the lowest failed one are
+	// skipped; every one below it runs, so the ascending scan below returns
+	// the error the serial loop would have.
 	type doeOut struct {
 		smp  surrogate.Sample
 		peak float64
@@ -219,9 +219,9 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 		err  error
 	}
 	outs := make([]doeOut, len(points))
-	var failed atomic.Bool
+	failedAt := newStopIndex(len(points))
 	helpers := fanOut(ctx, len(points), func(i int) {
-		if failed.Load() {
+		if failedAt.past(i) {
 			return
 		}
 		o := &outs[i]
@@ -229,7 +229,7 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 		o.smp, rec, o.err = e.runDoESim(ctx, b, points[i], &o.st)
 		o.peak = rec.PeakC
 		if o.err != nil {
-			failed.Store(true)
+			failedAt.stop(i)
 		}
 	})
 	sp.SetAttr("helpers", helpers)

@@ -562,39 +562,39 @@ func TestBatchShedsUnderFullQueue(t *testing.T) {
 
 // TestSearchWorkersAutoCap pins the search-worker cap to the schedulable
 // Ps, not the CPU count: under GOMAXPROCS(1), extra restart workers would
-// only queue behind each other. The default is GOMAXPROCS itself, not
-// GOMAXPROCS/Workers: a loaded pool lends no helpers, so the default no
-// longer has to split the CPUs between concurrent searches up front.
+// only queue behind each other. A search that sets no search_workers gets
+// GOMAXPROCS itself, not GOMAXPROCS/Workers: a loaded pool lends no
+// helpers, so the CPUs need not be split between searches up front.
 func TestSearchWorkersAutoCap(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	if d := testServer(t, func(o *Options) { o.Workers = 2 }); d.opts.SearchWorkers != 2 {
-		t.Errorf("default search workers = %d under GOMAXPROCS(2) with 2 pool workers, want 2", d.opts.SearchWorkers)
-	}
-
-	runtime.GOMAXPROCS(1)
-	s := testServer(t, func(o *Options) { o.SearchWorkers = 4 })
-	if s.opts.SearchWorkers != 1 {
-		t.Errorf("daemon search workers = %d under GOMAXPROCS(1), want 1", s.opts.SearchWorkers)
-	}
-
-	// Per-request pins are capped the same way, and the cap never forks the
-	// cache identity: worker counts are wall-clock knobs, not result inputs.
-	mk := func(workers int) *SearchRequest {
+	mk := func(field string) *SearchRequest {
 		var req SearchRequest
-		body := fmt.Sprintf(`{"benchmark": "swaptions", "thermal_grid_n": 8, "chiplet_counts": [4], "starts": 1, "search_workers": %d}`, workers)
+		body := `{"benchmark": "swaptions", "thermal_grid_n": 8, "chiplet_counts": [4], "starts": 1` + field + `}`
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			t.Fatal(err)
 		}
 		return &req
 	}
-	cfg, keyCapped, err := s.resolveSearch(mk(4))
+	d := testServer(t, func(o *Options) { o.Workers = 2 })
+	if cfg, _, err := d.resolveSearch(mk("")); err != nil || cfg.SearchWorkers != 2 {
+		t.Errorf("default search workers = %d (%v) under GOMAXPROCS(2) with 2 pool workers, want 2", cfg.SearchWorkers, err)
+	}
+
+	// Per-request pins are capped at GOMAXPROCS, and the cap never forks the
+	// cache identity: worker counts are wall-clock knobs, not result inputs.
+	runtime.GOMAXPROCS(1)
+	s := testServer(t, nil)
+	if cfg, _, err := s.resolveSearch(mk("")); err != nil || cfg.SearchWorkers != 1 {
+		t.Errorf("default search workers = %d (%v) under GOMAXPROCS(1), want 1", cfg.SearchWorkers, err)
+	}
+	cfg, keyCapped, err := s.resolveSearch(mk(`, "search_workers": 4`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.SearchWorkers != 1 {
 		t.Errorf("a search asking for 4 workers resolved to %d under GOMAXPROCS(1), want 1", cfg.SearchWorkers)
 	}
-	_, keySerial, err := s.resolveSearch(mk(1))
+	_, keySerial, err := s.resolveSearch(mk(`, "search_workers": 1`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -466,12 +466,7 @@ func (s *Server) resolveSearch(req *SearchRequest) (org.Config, string, error) {
 	if cfg.Thermal.Nx > s.opts.MaxGridN || cfg.Thermal.Ny > s.opts.MaxGridN {
 		return org.Config{}, "", fmt.Errorf("thermal_grid_n %d exceeds the server limit %d", cfg.Thermal.Nx, s.opts.MaxGridN)
 	}
-	if req.File.SearchWorkers == nil {
-		// Requests that do not pin their own restart parallelism get the
-		// daemon's per-search budget.
-		cfg.SearchWorkers = s.opts.SearchWorkers
-	}
-	cfg.SearchWorkers = capSearchWorkers(s.logger, cfg.SearchWorkers)
+	cfg.SearchWorkers = searchWorkers(s.logger, req.File.SearchWorkers)
 	if req.File.SpatialSurrogate == nil && s.opts.SpatialSurrogate {
 		// Requests that do not choose a fidelity policy inherit the daemon's
 		// spatial-tier default (winner-invariant; see Options.SpatialSurrogate).

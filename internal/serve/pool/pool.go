@@ -1,14 +1,19 @@
 // Package pool provides chipletd's bounded worker pool: a fixed set of
 // workers pulling from a bounded admission queue. The bound turns overload
-// into fast 503-style rejections instead of unbounded goroutine pileup, and
-// the fixed worker count keeps the number of concurrent thermal solves (each
-// CPU- and memory-hungry) at a level the host can sustain.
+// into fast 503-style rejections instead of unbounded goroutine pileup.
 //
 // A worker slot left idle can be lent, one task at a time, to a running
-// task's independent sub-work (an org search's restarts and calibration
-// simulations) through TryLend. Lending never delays admission: workers
-// never wait for a lent slot, so a request that arrives while one is lent
-// starts at once and shares the CPU for at most one borrowed task.
+// task's independent sub-work (an org search's greedy restarts and
+// calibration simulations) through TryLend. Lending never delays
+// admission: workers never wait for a lent slot, so a request that arrives
+// while slots are lent starts at once. The price is a looser bound on
+// concurrent CPU- and memory-hungry work than the worker count alone:
+// TryLend grants only while running + lent < workers, and a lender is
+// itself a running task, so at most workers−1 slots are lent; the workers
+// may then all fill up beside them, for at most running + lent ≤
+// 2·workers−1 tasks at once. Each lent slot comes back when its borrowed
+// task (a whole restart, or one simulation) ends, and none is lent again
+// while every worker is busy or a request waits.
 package pool
 
 import (

@@ -64,18 +64,10 @@ import (
 type Options struct {
 	// Addr is the listen address for Run.
 	Addr string
-	// Workers bounds concurrent solves.
+	// Workers bounds concurrently admitted requests. A search among them
+	// also borrows the slots left idle for its restarts and calibration
+	// simulations (pool.TryLend), so at most 2·Workers−1 tasks run at once.
 	Workers int
-	// SearchWorkers caps the goroutines one org search (and a spatial
-	// calibration inside it) runs at once, for requests that do not set
-	// their own search_workers; 0 picks GOMAXPROCS. The search's own pool
-	// worker always works; each further goroutine borrows an idle pool
-	// slot, one restart or calibration simulation at a time (pool.TryLend),
-	// so a fully loaded pool lends nothing and each search runs serially.
-	// Each thermal solve runs on its caller's goroutine. Worker count never
-	// changes search results (org's determinism contract), so cached and
-	// fresh responses always agree.
-	SearchWorkers int
 	// SpatialSurrogate enables the spatial compact-model fidelity tier by
 	// default for org-search requests that do not set their own
 	// spatial_surrogate. Escalation is conservative (org's threshold-side
@@ -199,10 +191,6 @@ func (o Options) withDefaults() Options {
 	if o.AuditRingSize == 0 {
 		o.AuditRingSize = d.AuditRingSize
 	}
-	if o.SearchWorkers <= 0 {
-		o.SearchWorkers = runtime.GOMAXPROCS(0)
-	}
-	o.SearchWorkers = capSearchWorkers(o.Logger, o.SearchWorkers)
 	if o.PeerTimeout <= 0 {
 		o.PeerTimeout = d.PeerTimeout
 	}
@@ -218,16 +206,24 @@ func (s *Server) runPooled(ctx context.Context, task pool.Task) (any, error) {
 	})
 }
 
-// capSearchWorkers bounds a per-search restart worker count at GOMAXPROCS.
-// Restarts are CPU-bound, so workers beyond the schedulable Ps only add
-// contention (benchmarked below 1x serial on a 1-CPU box), and worker count
-// never changes a result, only wall clock. It logs when it caps.
-func capSearchWorkers(logger *slog.Logger, n int) int {
-	if procs := runtime.GOMAXPROCS(0); n > procs {
-		logger.Warn("capping search workers at GOMAXPROCS", "requested", n, "gomaxprocs", procs)
+// searchWorkers resolves the goroutine cap of one org search: the
+// request's own search_workers, or GOMAXPROCS when it sets none. Beyond the
+// search's own pool worker each goroutine borrows a slot the pool leaves
+// idle (runPooled), so a loaded pool runs the search serially whatever the
+// cap. Restarts are CPU-bound, so goroutines beyond the schedulable Ps only
+// add contention (benchmarked below 1x serial on a 1-CPU box), and worker
+// count never changes a result, only wall clock: a larger request is capped
+// at GOMAXPROCS, with a logged warning.
+func searchWorkers(logger *slog.Logger, requested *int) int {
+	procs := runtime.GOMAXPROCS(0)
+	switch {
+	case requested == nil:
+		return procs
+	case *requested > procs:
+		logger.Warn("capping search workers at GOMAXPROCS", "requested", *requested, "gomaxprocs", procs)
 		return procs
 	}
-	return n
+	return *requested
 }
 
 // Server is the chipletd HTTP serving subsystem.

@@ -216,9 +216,8 @@ func checkCostGoldenElaboration(ctx *Context) error {
 // itself is under test too.
 func checkTCOBatchDifferential(ctx *Context) error {
 	opts := serve.Options{
-		Workers:       2,
-		SearchWorkers: 1,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Workers: 2,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	client := &http.Client{Timeout: 2 * time.Minute}
 

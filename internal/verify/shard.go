@@ -35,14 +35,13 @@ import (
 // to exercise the real CG path.
 const shardCheckGrid = 8
 
-// shardOpts are the serve options shared by every node in the check; fully
-// pinned (workers, search workers) so the only variable
-// across deployments is the sharding topology itself.
+// shardOpts are the serve options shared by every node in the check; the
+// worker count is pinned so the only variable across deployments is the
+// sharding topology itself.
 func shardOpts() serve.Options {
 	return serve.Options{
-		Workers:       2,
-		SearchWorkers: 1,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Workers: 2,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 }
 

@@ -169,9 +169,10 @@ echo "==> org parallel-search determinism (golden parallel≡serial, -race)"
 # serial path at any worker count, with many goroutines hammering one shared
 # engine. That contract is what lets chipletd share a process-wide memo and
 # content-address searches independently of their worker knobs, so it gets
-# its own named gate under -race.
+# its own named gate under -race, together with the fan-out that lends
+# helpers to restarts and calibration simulations mid-run.
 go test -race -count 1 \
-    -run 'TestParallelRestartsMatchSerial|TestParallelFindPlacementMatchesSerial|TestSharedEngineSearchersMatchPrivate|TestEngineConcurrentStress' \
+    -run 'TestParallelRestartsMatchSerial|TestParallelFindPlacementMatchesSerial|TestSharedEngineSearchersMatchPrivate|TestEngineConcurrentStress|TestLentSearchMatchesSerial|TestFanOutRunsEachIndexOnce|TestStopIndexKeepsSerialError' \
     ./internal/org
 
 echo "==> org package under -race"
