@@ -132,3 +132,15 @@ func (c *EngineCache) MemoLen() int {
 	}
 	return n
 }
+
+// ModelBytes sums the retained thermal models' memory across all resident
+// engines (see Engine.ModelBytes).
+func (c *EngineCache) ModelBytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.engines {
+		n += e.ModelBytes()
+	}
+	return n
+}

@@ -19,7 +19,9 @@ import (
 // sparse (~7% of sims — restarts at different operating points walk
 // largely disjoint spacing points, so raising the capacity does not raise
 // the hit count), which keeps the default small; memory bounds it from
-// the other side, a 64x64 multigrid model being tens of MB.
+// the other side: Model.Bytes() is 0.4 MB at 16x16 (IC(0)), 15 MB at
+// 64x64 and 66 MB at 128x128 (multigrid), so a full ring of 128x128
+// models holds about 1 GB (exported as chipletd_model_bytes).
 const defaultModelCache = 16
 
 // modelCache is a bounded ring of assembled thermal models keyed by exact
@@ -89,6 +91,26 @@ func (c *modelCache) put(k plKey, m *thermal.Model) {
 	s.m = m
 	c.next = (c.next + 1) % len(c.slots)
 }
+
+// bytes sums Model.Bytes() over the retained models.
+func (c *modelCache) bytes() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for i := range c.slots {
+		if s := &c.slots[i]; s.used {
+			n += s.m.Bytes()
+		}
+	}
+	return n
+}
+
+// ModelBytes reports the memory the engine's retained thermal models hold
+// (see thermal.Model.Bytes).
+func (e *Engine) ModelBytes() int { return e.models.bytes() }
 
 // model returns the assembled thermal model for placement pl, reusing the
 // cached one when its geometry key is resident and assembling (and

@@ -92,8 +92,10 @@ func (w Workload) ActiveCount() int {
 
 // Simulate runs the coupled power/thermal fixed point on an assembled
 // thermal model: per-core leakage depends on the core's temperature, which
-// depends on the power map; the loop iterates, warm-starting each solve,
-// until the temperature field converges.
+// depends on the power map; the loop iterates until the temperature field
+// converges. The passes run as one thermal.Sequence, so each solve after
+// the first starts from the secant extrapolation of the loop's earlier
+// passes.
 func Simulate(m *thermal.Model, cores []floorplan.Core, w Workload, opts SimOptions) (*SimResult, error) {
 	return SimulateCtx(context.Background(), m, cores, w, opts)
 }
@@ -129,9 +131,12 @@ func SimulateCtx(ctx context.Context, m *thermal.Model, cores []floorplan.Core, 
 	cgIters := 0
 	iter := 0
 	// One power-map buffer for the whole fixed point; together with the
-	// model's pooled solver workspaces and Recycle below, iterating the
-	// loop does no per-iteration large allocations.
+	// pooled solver scratch and the sequence (which recycles each
+	// superseded field), iterating the loop does no per-iteration large
+	// allocations.
 	pmap := make([]float64, grid.NumCells())
+	seq := m.NewSequence()
+	defer seq.Release()
 	for iter = 1; iter <= opts.MaxIterations; iter++ {
 		for i := range pmap {
 			pmap[i] = 0
@@ -150,16 +155,10 @@ func SimulateCtx(ctx context.Context, m *thermal.Model, cores []floorplan.Core, 
 			grid.RasterizeAdd(pmap, c.Rect, p)
 			totalW += p
 		}
-		next, err := m.SolveWarmCtx(ctx, pmap, res)
-		if err != nil {
+		var err error
+		if res, err = seq.Solve(ctx, pmap); err != nil {
 			return nil, err
 		}
-		if res != nil {
-			// The superseded field has served as the warm start; hand its
-			// buffer back to the model's pool.
-			res.Recycle()
-		}
-		res = next
 		cgIters += res.Iterations
 		maxDelta := 0.0
 		for i, c := range cores {

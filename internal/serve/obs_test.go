@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/obs"
+	"chiplet25d/internal/thermal"
 )
 
 // collectSpans flattens a span tree into name -> first matching span.
@@ -261,6 +263,43 @@ func TestCGIterationsPrecondLabel(t *testing.T) {
 		if !strings.Contains(expo, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestModelBytesGauge checks chipletd_model_bytes against the model a
+// solve retains: one grid-64 solve raises the gauge by exactly the Bytes()
+// of the same model assembled outside the server, and a repeat (a cache
+// hit, no new model) leaves it where it is.
+func TestModelBytesGauge(t *testing.T) {
+	s := testServer(t, nil)
+	h := s.Handler()
+	before := metricValue(t, scrape(t, h), "chipletd_model_bytes")
+	body := strings.Replace(solveBody, `"grid_n": 8`, `"grid_n": 64`, 1)
+	for i := 0; i < 2; i++ {
+		if rec := postJSON(t, h, "/v1/thermal/solve", body); rec.Code != http.StatusOK {
+			t.Fatalf("solve = %d (body %s)", rec.Code, rec.Body)
+		}
+	}
+	after := metricValue(t, scrape(t, h), "chipletd_model_bytes")
+
+	var req SolveRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := req.resolve(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := floorplan.BuildStack(sp.pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := thermal.NewModel(stack, sp.engineConfig().Thermal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := after-before, float64(m.Bytes()); got != want {
+		t.Errorf("chipletd_model_bytes rose by %.0f over a grid-64 solve, want the model's Bytes() %.0f", got, want)
 	}
 }
 

@@ -387,6 +387,9 @@ func New(opts Options) *Server {
 	s.reg.GaugeFunc("chipletd_eval_engines",
 		"Evaluation engines resident in the fingerprint-keyed cache.",
 		func() float64 { return float64(s.engines.Len()) })
+	s.reg.GaugeFunc("chipletd_model_bytes",
+		"Bytes held by the assembled thermal models retained across resident engines' model rings.",
+		func() float64 { return float64(s.engines.ModelBytes()) })
 	// Scale-out telemetry: batch coalescing and the memo peer-fetch exchange
 	// (both directions — fetches this node issued, and memo lookups it served
 	// to peers), plus this node's rendezvous-ownership view.

@@ -1,17 +1,14 @@
 package thermal
 
+import "chiplet25d/internal/floorplan"
+
 // Compressed sparse row storage for the assembled conductance matrix.
 //
-// Assembly produces an unordered symmetric edge list (one `link` per
-// conductance). The edge-list matvec updates two scattered rows per link,
-// which defeats both the cache and any attempt at row parallelism (write
-// conflicts). finalize therefore expands the list once into a fully
-// symmetric CSR structure: every row holds its off-diagonal entries with
-// column indices sorted ascending, so the matvec becomes a gather-only row
-// sweep — sequential reads of rowPtr/colIdx/vals, one sequential write per
-// row, no write sharing between rows. The diagonal stays in its own dense
-// array so the transient solver can reuse the same CSR off-diagonals under
-// a shifted diagonal.
+// Every row holds its off-diagonal entries with column indices sorted
+// ascending, so the matvec is a gather-only row sweep — sequential reads of
+// rowPtr/colIdx/vals, one sequential write per row, no write sharing
+// between rows. The diagonal stays in its own dense array so the transient
+// solver can reuse the same CSR off-diagonals under a shifted diagonal.
 
 // csrMatrix holds the strictly off-diagonal entries of a symmetric matrix
 // in row-major CSR form with ascending column indices per row. Values are
@@ -23,60 +20,64 @@ type csrMatrix struct {
 	vals   []float64
 }
 
-// newCSR expands a symmetric edge list into full CSR form. Both directed
-// copies of every link are materialized and ordered by (row, col) with two
-// stable counting-sort passes — O(nnz), no per-row comparison sort. The
-// resulting column ordering is what the IC(0) preconditioner consumes too,
-// replacing its former per-row sort.Sort.
-func newCSR(n int, links []link) *csrMatrix {
-	nnz := 2 * len(links)
-
-	// Pass 1: stable counting sort of the directed entries by column. The
-	// bucket an entry lands in is its column, so only (row, value) are
-	// carried explicitly.
-	colPtr := make([]int32, n+1)
-	for _, l := range links {
-		colPtr[l.b+1]++ // entry (row=a, col=b)
-		colPtr[l.a+1]++ // entry (row=b, col=a)
-	}
-	for c := 0; c < n; c++ {
-		colPtr[c+1] += colPtr[c]
-	}
-	off := make([]int32, n)
-	copy(off, colPtr[:n])
-	rowTmp := make([]int32, nnz)
-	valTmp := make([]float64, nnz)
-	for _, l := range links {
-		p := off[l.b]
-		off[l.b]++
-		rowTmp[p] = l.a
-		valTmp[p] = -l.g
-		p = off[l.a]
-		off[l.a]++
-		rowTmp[p] = l.b
-		valTmp[p] = -l.g
-	}
-
-	// Pass 2: stable counting sort by row. Stability preserves the pass-1
-	// column order, so each row ends up with ascending columns.
+// assembleCSR builds the model's off-diagonal CSR straight from the link
+// generator, with no intermediate edge list: a counting pass sizes every
+// row, a fill pass writes both directed copies of each conductance into
+// its row (accumulating the diagonal link by link, a then b, in assembly
+// order), and a per-row insertion sort orders the columns. The sort is
+// stable and rows hold at most nine entries, so a row's entries end up in
+// (column, assembly) order — the order the IC(0) factorization consumes.
+func (m *Model) assembleCSR(props [][]floorplan.LayerProps) *csrMatrix {
+	n := m.nNodes
 	rowPtr := make([]int32, n+1)
-	for _, r := range rowTmp {
-		rowPtr[r+1]++
-	}
+	m.forEachLink(props, func(a, b int, g float64) {
+		if usableConductance(g) {
+			rowPtr[a+1]++
+			rowPtr[b+1]++
+		}
+	})
 	for r := 0; r < n; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-	copy(off, rowPtr[:n])
+	nnz := rowPtr[n]
 	colIdx := make([]int32, nnz)
 	vals := make([]float64, nnz)
-	for c := 0; c < n; c++ {
-		for p := colPtr[c]; p < colPtr[c+1]; p++ {
-			r := rowTmp[p]
-			q := off[r]
-			off[r]++
-			colIdx[q] = int32(c)
-			vals[q] = valTmp[p]
+	// rowPtr[r] serves as row r's fill cursor; after the pass it has
+	// advanced to the row's end, i.e. to the original rowPtr[r+1].
+	diag := m.diag
+	m.forEachLink(props, func(a, b int, g float64) {
+		if !usableConductance(g) {
+			return
+		}
+		diag[a] += g
+		diag[b] += g
+		p := rowPtr[a]
+		colIdx[p], vals[p] = int32(b), -g
+		rowPtr[a]++
+		p = rowPtr[b]
+		colIdx[p], vals[p] = int32(a), -g
+		rowPtr[b]++
+	})
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
+	for r := 0; r < n; r++ {
+		lo, hi := rowPtr[r], rowPtr[r+1]
+		for i := lo + 1; i < hi; i++ {
+			c, v := colIdx[i], vals[i]
+			j := i
+			for ; j > lo && colIdx[j-1] > c; j-- {
+				colIdx[j], vals[j] = colIdx[j-1], vals[j-1]
+			}
+			colIdx[j], vals[j] = c, v
 		}
 	}
 	return &csrMatrix{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
+// bytes returns the capacity of the matrix's arrays in bytes.
+func (a *csrMatrix) bytes() int {
+	if a == nil {
+		return 0
+	}
+	return 4*cap(a.rowPtr) + 4*cap(a.colIdx) + 8*cap(a.vals)
 }

@@ -225,6 +225,7 @@ func BenchmarkSpmvStriped(b *testing.B) {
 // serial latency-bound half of a CG iteration.
 func BenchmarkICApply(b *testing.B) {
 	m, _ := gridModel(b, 64)
+	forced(b, m, PrecondIC0)
 	r := make([]float64, m.nNodes)
 	z := make([]float64, m.nNodes)
 	for i := range r {

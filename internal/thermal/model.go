@@ -87,12 +87,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// link is one symmetric conductance between nodes a and b.
-type link struct {
-	a, b int32
-	g    float64
-}
-
 // Model is an assembled thermal network for one stack geometry. It can be
 // solved repeatedly for different power maps (e.g. across the
 // leakage-temperature fixed point iteration) reusing the assembly.
@@ -104,10 +98,9 @@ type Model struct {
 	nCells int       // Nx*Ny
 	nNodes int       // (nLayer+2)*nCells
 
-	diag  []float64 // diagonal of the conductance matrix
-	links []link    // assembly-time edge list; dropped by finalize
-	// csr is the finalized off-diagonal structure the solve kernel sweeps
-	// (see csr.go); built once per model from the edge list.
+	diag []float64 // diagonal of the conductance matrix
+	// csr is the off-diagonal structure the solve kernel sweeps (see
+	// csr.go), assembled in place by assembleCSR.
 	csr *csrMatrix
 	// convG is the per-sink-cell convection conductance (W/K); its sum
 	// times (Tsink - Tamb) is the heat leaving the system.
@@ -118,21 +111,43 @@ type Model struct {
 
 	sinkBase int // node index of the first sink node
 
-	// precond is the IC(0) factorization, always built: it preconditions
-	// grids below mgMinGridEdge, is the fallback when the multigrid
-	// coarsener declines a geometry, and is what the transient solver
-	// derives its shifted variant from. mg is non-nil only when the grid
-	// rule chose multigrid and the hierarchy was buildable; runPCG prefers
-	// it.
+	// Exactly one preconditioner runs a model's solves. mg is non-nil when
+	// the grid rule chose multigrid and the hierarchy was buildable;
+	// otherwise precond holds the IC(0) factorization, built only then (or
+	// on demand by ForcePreconditionerForVerify). The transient solver
+	// factors its own shifted IC(0) and needs neither.
 	precond     *icPreconditioner
 	mg          *mgPreconditioner
 	precondName string
 
-	// wsPool recycles CG scratch workspaces and xPool recycled solution
-	// vectors (fed by Result.Recycle), so steady-state warm solves do no
-	// large allocations. Both are safe for concurrent solves.
-	wsPool sync.Pool
-	xPool  sync.Pool
+	// scratch pools the per-solve buffers this model shares with every
+	// model of its shape (see scratchFor).
+	scratch *scratch
+}
+
+// scratch recycles per-solve buffers: CG workspaces, solution vectors
+// (fed by Result.Recycle) and leakage-loop sequences with their secant
+// bases, so steady-state solves do no large allocations. All are safe for
+// concurrent solves.
+type scratch struct {
+	ws, x, seq sync.Pool
+}
+
+// scratchByShape maps a model shape, [nNodes, nCells], to its scratch.
+var scratchByShape sync.Map
+
+// scratchFor returns the scratch pools shared by all models with nNodes
+// nodes and nCells chip cells. Every pooled buffer is overwritten before
+// it is read, so sharing cannot change an answer; sharing by shape keeps
+// idle scratch proportional to the solves running at once rather than to
+// the models retained (up to 16 per engine ring, 8 engines per daemon).
+func scratchFor(nNodes, nCells int) *scratch {
+	key := [2]int{nNodes, nCells}
+	if s, ok := scratchByShape.Load(key); ok {
+		return s.(*scratch)
+	}
+	s, _ := scratchByShape.LoadOrStore(key, new(scratch))
+	return s.(*scratch)
 }
 
 // Grid returns the package grid used for chip-layer power maps.
@@ -171,10 +186,11 @@ func NewModel(stack floorplan.Stack, cfg Config) (*Model, error) {
 	}
 	m.nNodes = (m.nLayer + 2) * m.nCells
 	m.sinkBase = (m.nLayer + 1) * m.nCells
+	m.scratch = scratchFor(m.nNodes, m.nCells)
 	m.diag = make([]float64, m.nNodes)
 	m.convG = make([]float64, m.nCells)
 	m.assemble()
-	m.finalize()
+	m.choosePreconditioner()
 	return m, nil
 }
 
@@ -186,23 +202,27 @@ func NewModel(stack floorplan.Stack, cfg Config) (*Model, error) {
 // cache key already carries, so it never forks an answer's identity.
 const mgMinGridEdge = 32
 
-// finalize converts the assembled edge list into the solver's CSR layout,
-// derives the preconditioner from the same (already column-sorted)
-// structure, and drops the edge list — after this point every matvec is a
-// gather-only row sweep over the CSR arrays.
-func (m *Model) finalize() {
-	m.csr = newCSR(m.nNodes, m.links)
-	m.precond = newICFromCSR(m.nNodes, m.diag, m.csr)
-	m.precondName = PrecondIC0
-	if m.cfg.Nx >= mgMinGridEdge && m.cfg.Ny >= mgMinGridEdge {
-		m.useMultigrid()
+// choosePreconditioner applies the grid rule: multigrid when both edges
+// reach mgMinGridEdge and the coarsener accepts the geometry, IC(0)
+// otherwise.
+func (m *Model) choosePreconditioner() {
+	if m.cfg.Nx >= mgMinGridEdge && m.cfg.Ny >= mgMinGridEdge && m.useMultigrid() {
+		return
 	}
-	m.links = nil
+	m.useIC0()
 }
 
-// useMultigrid builds the multigrid hierarchy and selects it, keeping
-// IC(0) when the coarsener declines the geometry. It reports whether
-// multigrid is in use.
+// useIC0 selects IC(0), factoring it on first use.
+func (m *Model) useIC0() {
+	if m.precond == nil {
+		m.precond = newICFromCSR(m.nNodes, m.diag, m.csr)
+	}
+	m.mg, m.precondName = nil, PrecondIC0
+}
+
+// useMultigrid builds the multigrid hierarchy and selects it, leaving the
+// current choice in place when the coarsener declines the geometry. It
+// reports whether multigrid is in use.
 func (m *Model) useMultigrid() bool {
 	if mg := newMultigrid(m.nLayer+2, m.cfg.Nx, m.cfg.Ny, m.diag, m.csr); mg != nil {
 		m.mg = mg
@@ -216,18 +236,15 @@ func (m *Model) useMultigrid() bool {
 // was buildable, else PrecondIC0.
 func (m *Model) PreconditionerName() string { return m.precondName }
 
-// addLink registers a symmetric conductance g between nodes a and b.
-func (m *Model) addLink(a, b int, g float64) {
-	if g <= 0 || math.IsNaN(g) || math.IsInf(g, 0) {
-		return
-	}
-	m.links = append(m.links, link{a: int32(a), b: int32(b), g: g})
-	m.diag[a] += g
-	m.diag[b] += g
+// usableConductance reports whether a computed conductance enters the
+// network; non-positive and non-finite values are dropped.
+func usableConductance(g float64) bool {
+	return g > 0 && !math.IsNaN(g) && !math.IsInf(g, 0)
 }
 
+// assemble builds the conductance matrix: the off-diagonal CSR with the
+// link part of the diagonal (assembleCSR), then the boundary terms.
 func (m *Model) assemble() {
-	nx, ny := m.cfg.Nx, m.cfg.Ny
 	nc := m.nCells
 	cw := m.grid.CellW() * 1e-3 // meters
 	ch := m.grid.CellH() * 1e-3
@@ -238,70 +255,7 @@ func (m *Model) assemble() {
 	for l, layer := range m.stack.Layers {
 		props[l] = floorplan.RasterizeLayer(layer, m.grid)
 	}
-
-	// Lateral conduction within each package layer.
-	for l := 0; l < m.nLayer; l++ {
-		t := m.stack.Layers[l].ThicknessM
-		base := l * nc
-		for iy := 0; iy < ny; iy++ {
-			for ix := 0; ix < nx; ix++ {
-				c := m.grid.Index(ix, iy)
-				if ix+1 < nx {
-					c2 := m.grid.Index(ix+1, iy)
-					r := 0.5*cw/(props[l][c].LatK*t*ch) + 0.5*cw/(props[l][c2].LatK*t*ch)
-					m.addLink(base+c, base+c2, 1/r)
-				}
-				if iy+1 < ny {
-					c2 := m.grid.Index(ix, iy+1)
-					r := 0.5*ch/(props[l][c].LatK*t*cw) + 0.5*ch/(props[l][c2].LatK*t*cw)
-					m.addLink(base+c, base+c2, 1/r)
-				}
-			}
-		}
-	}
-
-	// Vertical conduction between adjacent package layers.
-	for l := 0; l+1 < m.nLayer; l++ {
-		tLo := m.stack.Layers[l].ThicknessM
-		tHi := m.stack.Layers[l+1].ThicknessM
-		for c := 0; c < nc; c++ {
-			r := 0.5*tLo/(props[l][c].VertK*area) + 0.5*tHi/(props[l+1][c].VertK*area)
-			m.addLink(l*nc+c, (l+1)*nc+c, 1/r)
-		}
-	}
-
-	// Spreader: 2x footprint edge, same node count, cells 2cw x 2ch. The
-	// center quarter sits exactly above the package: package cell (ix, iy)
-	// nests in spreader cell ((ix+nx/2)/2, (iy+ny/2)/2).
-	sprBase := m.nLayer * nc
-	tTop := m.stack.Layers[m.nLayer-1].ThicknessM
-	kTop := props[m.nLayer-1]
-	tSpr := floorplan.SpreaderThicknessM
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			c := m.grid.Index(ix, iy)
-			sc := m.grid.Index((ix+nx/2)/2, (iy+ny/2)/2)
-			r := 0.5*tTop/(kTop[c].VertK*area) + 0.5*tSpr/(m.cfg.SpreaderK*area)
-			m.addLink((m.nLayer-1)*nc+c, sprBase+sc, 1/r)
-		}
-	}
-	// Spreader lateral conduction (cells 2cw x 2ch).
-	m.addUniformLateral(sprBase, 2*cw, 2*ch, tSpr, m.cfg.SpreaderK)
-
-	// Sink: 4x footprint edge, same node count, cells 4cw x 4ch. Spreader
-	// cell (ix, iy) nests in sink cell ((ix+nx/2)/2, (iy+ny/2)/2).
-	tSink := floorplan.SinkThicknessM
-	sprArea := 4 * area
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			sc := m.grid.Index(ix, iy)
-			kc := m.grid.Index((ix+nx/2)/2, (iy+ny/2)/2)
-			r := 0.5*tSpr/(m.cfg.SpreaderK*sprArea) + 0.5*tSink/(m.cfg.SinkK*sprArea)
-			m.addLink(sprBase+sc, m.sinkBase+kc, 1/r)
-		}
-	}
-	// Sink lateral conduction (cells 4cw x 4ch).
-	m.addUniformLateral(m.sinkBase, 4*cw, 4*ch, tSink, m.cfg.SinkK)
+	m.csr = m.assembleCSR(props)
 
 	// Convection from the sink's top surface to ambient: applied per sink
 	// cell over its full area; equivalently a convective resistance
@@ -326,9 +280,84 @@ func (m *Model) assemble() {
 	}
 }
 
-// addUniformLateral adds lateral links for a homogeneous layer grid of
+// forEachLink calls emit(a, b, g) for every symmetric conductance g
+// between nodes a and b, in a fixed assembly order. g may be unusable
+// (see usableConductance); emit decides.
+func (m *Model) forEachLink(props [][]floorplan.LayerProps, emit func(a, b int, g float64)) {
+	nx, ny := m.cfg.Nx, m.cfg.Ny
+	nc := m.nCells
+	cw := m.grid.CellW() * 1e-3 // meters
+	ch := m.grid.CellH() * 1e-3
+	area := cw * ch
+
+	// Lateral conduction within each package layer.
+	for l := 0; l < m.nLayer; l++ {
+		t := m.stack.Layers[l].ThicknessM
+		base := l * nc
+		for iy := 0; iy < ny; iy++ {
+			for ix := 0; ix < nx; ix++ {
+				c := m.grid.Index(ix, iy)
+				if ix+1 < nx {
+					c2 := m.grid.Index(ix+1, iy)
+					r := 0.5*cw/(props[l][c].LatK*t*ch) + 0.5*cw/(props[l][c2].LatK*t*ch)
+					emit(base+c, base+c2, 1/r)
+				}
+				if iy+1 < ny {
+					c2 := m.grid.Index(ix, iy+1)
+					r := 0.5*ch/(props[l][c].LatK*t*cw) + 0.5*ch/(props[l][c2].LatK*t*cw)
+					emit(base+c, base+c2, 1/r)
+				}
+			}
+		}
+	}
+
+	// Vertical conduction between adjacent package layers.
+	for l := 0; l+1 < m.nLayer; l++ {
+		tLo := m.stack.Layers[l].ThicknessM
+		tHi := m.stack.Layers[l+1].ThicknessM
+		for c := 0; c < nc; c++ {
+			r := 0.5*tLo/(props[l][c].VertK*area) + 0.5*tHi/(props[l+1][c].VertK*area)
+			emit(l*nc+c, (l+1)*nc+c, 1/r)
+		}
+	}
+
+	// Spreader: 2x footprint edge, same node count, cells 2cw x 2ch. The
+	// center quarter sits exactly above the package: package cell (ix, iy)
+	// nests in spreader cell ((ix+nx/2)/2, (iy+ny/2)/2).
+	sprBase := m.nLayer * nc
+	tTop := m.stack.Layers[m.nLayer-1].ThicknessM
+	kTop := props[m.nLayer-1]
+	tSpr := floorplan.SpreaderThicknessM
+	for iy := 0; iy < ny; iy++ {
+		for ix := 0; ix < nx; ix++ {
+			c := m.grid.Index(ix, iy)
+			sc := m.grid.Index((ix+nx/2)/2, (iy+ny/2)/2)
+			r := 0.5*tTop/(kTop[c].VertK*area) + 0.5*tSpr/(m.cfg.SpreaderK*area)
+			emit((m.nLayer-1)*nc+c, sprBase+sc, 1/r)
+		}
+	}
+	// Spreader lateral conduction (cells 2cw x 2ch).
+	m.uniformLateral(sprBase, 2*cw, 2*ch, tSpr, m.cfg.SpreaderK, emit)
+
+	// Sink: 4x footprint edge, same node count, cells 4cw x 4ch. Spreader
+	// cell (ix, iy) nests in sink cell ((ix+nx/2)/2, (iy+ny/2)/2).
+	tSink := floorplan.SinkThicknessM
+	sprArea := 4 * area
+	for iy := 0; iy < ny; iy++ {
+		for ix := 0; ix < nx; ix++ {
+			sc := m.grid.Index(ix, iy)
+			kc := m.grid.Index((ix+nx/2)/2, (iy+ny/2)/2)
+			r := 0.5*tSpr/(m.cfg.SpreaderK*sprArea) + 0.5*tSink/(m.cfg.SinkK*sprArea)
+			emit(sprBase+sc, m.sinkBase+kc, 1/r)
+		}
+	}
+	// Sink lateral conduction (cells 4cw x 4ch).
+	m.uniformLateral(m.sinkBase, 4*cw, 4*ch, tSink, m.cfg.SinkK, emit)
+}
+
+// uniformLateral emits the lateral links of a homogeneous layer grid of
 // nx x ny cells of size cw x ch (meters) starting at node index base.
-func (m *Model) addUniformLateral(base int, cw, ch, t, k float64) {
+func (m *Model) uniformLateral(base int, cw, ch, t, k float64, emit func(a, b int, g float64)) {
 	nx, ny := m.cfg.Nx, m.cfg.Ny
 	gx := k * t * ch / cw
 	gy := k * t * cw / ch
@@ -336,11 +365,72 @@ func (m *Model) addUniformLateral(base int, cw, ch, t, k float64) {
 		for ix := 0; ix < nx; ix++ {
 			c := m.grid.Index(ix, iy)
 			if ix+1 < nx {
-				m.addLink(base+c, base+m.grid.Index(ix+1, iy), gx)
+				emit(base+c, base+m.grid.Index(ix+1, iy), gx)
 			}
 			if iy+1 < ny {
-				m.addLink(base+c, base+m.grid.Index(ix, iy+1), gy)
+				emit(base+c, base+m.grid.Index(ix, iy+1), gy)
 			}
 		}
 	}
+}
+
+// Bytes returns the memory the model retains after assembly, counting
+// every slice it keeps by capacity: the diagonal, the CSR off-diagonals,
+// the boundary conductances and the preconditioner it solves with (IC(0)
+// factors or the multigrid hierarchy, whichever was built). Pooled
+// per-solve scratch is not counted: it is shared by every model of the
+// same shape, and the garbage collector may drop it at any cycle.
+func (m *Model) Bytes() int {
+	return f64Bytes(m.diag) + m.csr.bytes() + f64Bytes(m.convG) + f64Bytes(m.boardG) +
+		m.precond.bytes() + m.mg.bytes()
+}
+
+func f64Bytes(s []float64) int { return 8 * cap(s) }
+
+func i32Bytes(s []int32) int { return 4 * cap(s) }
+
+func (ic *icPreconditioner) bytes() int {
+	if ic == nil {
+		return 0
+	}
+	return i32Bytes(ic.rowPtr) + i32Bytes(ic.colIdx) + f64Bytes(ic.lval) + f64Bytes(ic.d) +
+		f64Bytes(ic.dinv) + i32Bytes(ic.upPtr) + i32Bytes(ic.upCol) + f64Bytes(ic.upVal) +
+		i32Bytes(ic.upPos)
+}
+
+func (mg *mgPreconditioner) bytes() int {
+	if mg == nil {
+		return 0
+	}
+	n := 0
+	for i := range mg.levels {
+		lv := &mg.levels[i]
+		if i > 0 { // level 0 shares the model's diagonal and CSR
+			n += f64Bytes(lv.diag) + lv.mat.bytes()
+		}
+		n += f64Bytes(lv.dinv) + lv.down.bytes() + lv.line.bytes()
+	}
+	if mg.coarse != nil {
+		n += f64Bytes(mg.coarse.l)
+	}
+	return n
+}
+
+func (t *transferOp) bytes() int {
+	if t == nil {
+		return 0
+	}
+	return i32Bytes(t.rowPtr) + i32Bytes(t.colIdx) + f64Bytes(t.w) +
+		i32Bytes(t.tPtr) + i32Bytes(t.tIdx) + f64Bytes(t.tW)
+}
+
+func (ls *lineSmoother) bytes() int {
+	if ls == nil {
+		return 0
+	}
+	return f64Bytes(ls.mz) + f64Bytes(ls.dinvz) +
+		i32Bytes(ls.lbzPtr) + i32Bytes(ls.lbzIdx) + f64Bytes(ls.lbzVal) +
+		i32Bytes(ls.ubzPtr) + i32Bytes(ls.ubzIdx) + f64Bytes(ls.ubzVal) +
+		i32Bytes(ls.uezPtr) + i32Bytes(ls.uezIdx) + f64Bytes(ls.uezVal) +
+		ls.lb.bytes() + ls.ub.bytes()
 }

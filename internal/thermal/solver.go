@@ -22,7 +22,7 @@ type Result struct {
 	model *Model
 }
 
-// Recycle returns the result's temperature buffer to the model's solution
+// Recycle returns the result's temperature buffer to the model's scratch
 // pool so a later solve can reuse it without allocating. The result must
 // not be used afterward. Steady-state serving loops (the leakage fixed
 // point, chipletd's solve path) call this on every superseded result to
@@ -38,7 +38,7 @@ func (r *Result) Recycle() {
 	r.model = nil
 	r.T = nil
 	if len(t) == m.nNodes {
-		m.xPool.Put(&t)
+		m.scratch.x.Put(&t)
 	}
 }
 
@@ -160,8 +160,8 @@ func (r *Result) PeakOverLayers(layers []int) (float64, error) {
 
 // workspace holds the per-solve scratch vectors of the CG iteration plus
 // the RHS assembly buffer and the per-stripe partial-sum slots. Workspaces
-// are pooled per model so steady-state serving does zero large allocations
-// per solve.
+// are pooled (see scratchFor) so steady-state serving does zero large
+// allocations per solve.
 type workspace struct {
 	r, z, p, ap []float64
 	rhs         []float64
@@ -170,7 +170,7 @@ type workspace struct {
 
 // getWorkspace fetches a pooled workspace (or allocates the first one).
 func (m *Model) getWorkspace() *workspace {
-	if v := m.wsPool.Get(); v != nil {
+	if v := m.scratch.ws.Get(); v != nil {
 		return v.(*workspace)
 	}
 	n := m.nNodes
@@ -182,11 +182,11 @@ func (m *Model) getWorkspace() *workspace {
 	}
 }
 
-func (m *Model) putWorkspace(ws *workspace) { m.wsPool.Put(ws) }
+func (m *Model) putWorkspace(ws *workspace) { m.scratch.ws.Put(ws) }
 
 // getX fetches a solution vector from the pool fed by Result.Recycle.
 func (m *Model) getX() []float64 {
-	if v := m.xPool.Get(); v != nil {
+	if v := m.scratch.x.Get(); v != nil {
 		return *(v.(*[]float64))
 	}
 	return make([]float64, m.nNodes)
@@ -234,33 +234,61 @@ func (m *Model) SolveSeededCtx(ctx context.Context, chipPower, seed []float64) (
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("thermal: solve abandoned before starting: %w", err)
 	}
-	if len(chipPower) != m.nCells {
-		return nil, fmt.Errorf("thermal: power map has %d cells, model grid has %d", len(chipPower), m.nCells)
-	}
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
-	rhs := ws.rhs
+	if err := m.chipRHS(ws.rhs, chipPower); err != nil {
+		return nil, err
+	}
+	x := m.getX()
+	seedKind := seedAmbient
+	if validSeed(seed, m.nNodes) {
+		copy(x, seed)
+		seedKind = seedField
+	} else {
+		m.fillAmbient(x)
+	}
+	return m.runPCG(ctx, ws, x, seedKind, 0)
+}
+
+// Seed kinds recorded on thermal.cg spans: the iteration started at
+// ambient, from a caller-supplied field, or from a Sequence's secant
+// extrapolation.
+const (
+	seedAmbient = "ambient"
+	seedField   = "field"
+	seedSecant  = "secant"
+)
+
+// chipRHS assembles the right-hand side of a solve with power injected
+// into the chip layer only (watts per package-grid cell, length Nx*Ny).
+func (m *Model) chipRHS(rhs, chipPower []float64) error {
+	if len(chipPower) != m.nCells {
+		return fmt.Errorf("thermal: power map has %d cells, model grid has %d", len(chipPower), m.nCells)
+	}
 	for i := range rhs {
 		rhs[i] = 0
 	}
 	chipBase := m.ChipLayerOffset()
 	for c, p := range chipPower {
 		if p < 0 {
-			return nil, fmt.Errorf("thermal: negative power %g at cell %d", p, c)
+			return fmt.Errorf("thermal: negative power %g at cell %d", p, c)
+		}
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			// CG cannot detect a non-finite right-hand side; it would run
+			// to MaxIterations on NaNs.
+			return fmt.Errorf("thermal: non-finite power %g at cell %d", p, c)
 		}
 		rhs[chipBase+c] = p
 	}
 	m.addBoundaryRHS(rhs)
-	x := m.getX()
-	warm := validSeed(seed, m.nNodes)
-	if warm {
-		copy(x, seed)
-	} else {
-		for i := range x {
-			x[i] = m.cfg.AmbientC
-		}
+	return nil
+}
+
+// fillAmbient sets every node of x to the ambient temperature.
+func (m *Model) fillAmbient(x []float64) {
+	for i := range x {
+		x[i] = m.cfg.AmbientC
 	}
-	return m.runPCG(ctx, ws, x, warm)
 }
 
 // validSeed reports whether a seed field can start a CG iteration: exactly
@@ -316,10 +344,8 @@ func (m *Model) SolveMultiCtx(ctx context.Context, perLayer map[int][]float64) (
 	}
 	m.addBoundaryRHS(rhs)
 	x := m.getX()
-	for i := range x {
-		x[i] = m.cfg.AmbientC
-	}
-	return m.runPCG(ctx, ws, x, false)
+	m.fillAmbient(x)
+	return m.runPCG(ctx, ws, x, seedAmbient, 0)
 }
 
 // addBoundaryRHS adds the ambient boundary terms (sink convection and the
@@ -334,8 +360,10 @@ func (m *Model) addBoundaryRHS(rhs []float64) {
 }
 
 // runPCG runs the preconditioned CG under a span, assembling the Result.
-// On error the solution buffer goes back to the pool.
-func (m *Model) runPCG(ctx context.Context, ws *workspace, x []float64, warm bool) (*Result, error) {
+// seedKind and rank describe where x started (rank is a Sequence's secant
+// basis size, 0 otherwise). On error the solution buffer goes back to the
+// pool.
+func (m *Model) runPCG(ctx context.Context, ws *workspace, x []float64, seedKind string, rank int) (*Result, error) {
 	ctx, sp := obs.Start(ctx, "thermal.cg")
 	var pre cgPre = m.precond
 	if m.mg != nil {
@@ -345,20 +373,24 @@ func (m *Model) runPCG(ctx context.Context, ws *workspace, x []float64, warm boo
 		diag: m.diag, mat: m.csr, pre: pre,
 		tol: m.cfg.Tolerance, maxIter: m.cfg.MaxIterations,
 	}
-	iters, res, err := pcgSolve(ctx, &sys, ws, x, ws.rhs)
-	sp.SetAttr("iterations", iters)
-	if !math.IsNaN(res) { // NaN (abandoned solve) is not JSON-encodable
-		sp.SetAttr("residual", res)
+	st, err := pcgSolve(ctx, &sys, ws, x, ws.rhs)
+	sp.SetAttr("iterations", st.iters)
+	if !math.IsNaN(st.res) { // NaN (abandoned solve) is not JSON-encodable
+		sp.SetAttr("residual", st.res)
 	}
 	sp.SetAttr("grid_n", m.grid.Nx)
-	sp.SetAttr("warm_start", warm)
+	sp.SetAttr("seed", seedKind)
+	sp.SetAttr("basis_rank", rank)
+	if !math.IsNaN(st.res0) && !math.IsInf(st.res0, 0) {
+		sp.SetAttr("seed_residual", st.res0)
+	}
 	sp.SetAttr("precond", m.precondName)
 	sp.End()
 	if err != nil {
-		m.xPool.Put(&x)
+		m.scratch.x.Put(&x)
 		return nil, err
 	}
-	return &Result{T: x, Iterations: iters, Residual: res, model: m}, nil
+	return &Result{T: x, Iterations: st.iters, Residual: st.res, model: m}, nil
 }
 
 // cgSystem bundles the SPD system one PCG run solves: the (possibly
@@ -373,13 +405,20 @@ type cgSystem struct {
 	maxIter int
 }
 
+// cgStats reports one PCG run: the iterations used, the final relative
+// residual, and the relative residual of the starting iterate (how good
+// the seed was).
+type cgStats struct {
+	iters     int
+	res, res0 float64
+}
+
 // pcgSolve runs preconditioned conjugate gradients, overwriting x with the
-// solution of A·x = b. Returns iterations used and the final relative
-// residual. ctx is checked every few iterations so long solves can be
-// abandoned (e.g. when an HTTP client disconnects). Every reduction runs
-// through the striped kernels, whose fixed summation order is documented
-// in kernel.go.
-func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64) (int, float64, error) {
+// solution of A·x = b. ctx is checked every few iterations so long solves
+// can be abandoned (e.g. when an HTTP client disconnects). Every reduction
+// runs through the striped kernels, whose fixed summation order is
+// documented in kernel.go.
+func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64) (cgStats, error) {
 	r, z, p, ap, parts := ws.r, ws.z, ws.p, ws.ap, ws.parts
 
 	spmvStriped(sys.diag, sys.mat, ap, x, nil, nil)
@@ -389,7 +428,7 @@ func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64)
 		for i := range x {
 			x[i] = 0
 		}
-		return 0, 0, nil
+		return cgStats{}, nil
 	}
 	// Convergence is relative to ‖b‖ (residualStriped's parts accumulate
 	// Σb², not Σr²), so a warm start's head start is banked rather than
@@ -398,9 +437,9 @@ func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64)
 	// included. That early exit is what makes same-operator warm starts
 	// (leakage passes, repeated search points) nearly free.
 	dotStriped(r, r, parts)
-	r0norm := math.Sqrt(reduceParts(parts))
-	if r0norm/bnorm < sys.tol {
-		return 0, r0norm / bnorm, nil
+	res0 := math.Sqrt(reduceParts(parts)) / bnorm
+	if res0 < sys.tol {
+		return cgStats{res: res0, res0: res0}, nil
 	}
 	rz := sys.pre.precondApply(ws, z, r)
 	copy(p, z)
@@ -408,20 +447,20 @@ func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64)
 		if it&0x1f == 0 {
 			select {
 			case <-ctx.Done():
-				return it, math.NaN(), fmt.Errorf("thermal: solve abandoned after %d CG iterations: %w", it, ctx.Err())
+				return cgStats{it, math.NaN(), res0}, fmt.Errorf("thermal: solve abandoned after %d CG iterations: %w", it, ctx.Err())
 			default:
 			}
 		}
 		spmvStriped(sys.diag, sys.mat, ap, p, p, parts)
 		pap := reduceParts(parts)
 		if pap <= 0 {
-			return it, math.NaN(), fmt.Errorf("thermal: CG breakdown (pAp = %g); matrix not SPD", pap)
+			return cgStats{it, math.NaN(), res0}, fmt.Errorf("thermal: CG breakdown (pAp = %g); matrix not SPD", pap)
 		}
 		alpha := rz / pap
 		updateStriped(alpha, x, p, r, ap, parts)
 		rnorm := math.Sqrt(reduceParts(parts))
 		if rnorm/bnorm < sys.tol {
-			return it, rnorm / bnorm, nil
+			return cgStats{it, rnorm / bnorm, res0}, nil
 		}
 		rzNew := sys.pre.precondApply(ws, z, r)
 		beta := rzNew / rz
@@ -429,10 +468,10 @@ func pcgSolve(ctx context.Context, sys *cgSystem, ws *workspace, x, b []float64)
 		combine(beta, p, z)
 	}
 	dotStriped(r, r, parts)
-	rnorm := math.Sqrt(reduceParts(parts))
-	return sys.maxIter, rnorm / bnorm, fmt.Errorf(
+	res := math.Sqrt(reduceParts(parts)) / bnorm
+	return cgStats{sys.maxIter, res, res0}, fmt.Errorf(
 		"thermal: CG did not converge in %d iterations (residual %.3g)",
-		sys.maxIter, rnorm/bnorm)
+		sys.maxIter, res)
 }
 
 // icPreconditioner is a zero-fill incomplete Cholesky factorization
@@ -457,12 +496,6 @@ type icPreconditioner struct {
 	upCol []int32   // for row i: the rows j > i with L[j][i] ≠ 0
 	upVal []float64 // L[j][i], mirrored from lval after factorization
 	upPos []int32   // lval index backing each upVal entry
-}
-
-// newICPreconditioner builds the factorization from an edge list (test
-// entry point); production models pass their CSR via newICFromCSR.
-func newICPreconditioner(n int, diag []float64, links []link) *icPreconditioner {
-	return newICFromCSR(n, diag, newCSR(n, links))
 }
 
 // newICFromCSR builds IC(0) from the full symmetric CSR structure. The CSR

@@ -122,7 +122,7 @@ func (ts *TransientSolver) Step(chipPower []float64) (float64, error) {
 		diag: ts.diag, mat: m.csr, pre: ts.precond,
 		tol: m.cfg.Tolerance, maxIter: m.cfg.MaxIterations,
 	}
-	if _, _, err := pcgSolve(context.Background(), &sys, ts.ws, ts.T, rhs); err != nil {
+	if _, err := pcgSolve(context.Background(), &sys, ts.ws, ts.T, rhs); err != nil {
 		return 0, fmt.Errorf("thermal: transient step: %w", err)
 	}
 	ts.Elapsed += ts.dt

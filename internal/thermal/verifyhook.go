@@ -55,7 +55,7 @@ func (m *Model) PerturbLinksForVerify(seed int64, frac float64) {
 func (m *Model) ForcePreconditionerForVerify(name string) error {
 	switch name {
 	case PrecondIC0:
-		m.mg, m.precondName = nil, PrecondIC0
+		m.useIC0()
 	case PrecondMG:
 		if m.mg == nil && !m.useMultigrid() {
 			return fmt.Errorf("thermal: multigrid declines the %dx%d grid", m.cfg.Nx, m.cfg.Ny)

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -113,11 +115,12 @@ func checkMGIC0Differential(ctx *Context) error {
 	return nil
 }
 
-// checkWarmStartFixpoint pins the in-request warm start the leakage loop
-// runs (SolveWarm seeds each solve from the previous iteration's field): a
-// solve seeded with its own solution returns that fixed point (relative gap
-// ≤ WarmFixpointRelTol), and a solve seeded with a same-operator neighbor's
-// field lands within WarmNeighborTolC of the cold solve.
+// checkWarmStartFixpoint pins the seeded solves: a solve seeded with its
+// own solution returns that fixed point (relative gap ≤ WarmFixpointRelTol),
+// a solve seeded with a same-operator neighbor's field lands within
+// WarmNeighborTolC of the cold solve, and so does every pass of a
+// thermal.Sequence — the secant-seeded passes the leakage loop runs — fed
+// leakage-like power maps.
 func checkWarmStartFixpoint(ctx *Context) error {
 	rng := rand.New(rand.NewSource(caseSeed + 7))
 	for c := 0; c < 3; c++ {
@@ -176,8 +179,44 @@ func checkWarmStartFixpoint(ctx *Context) error {
 		if worst > WarmNeighborTolC {
 			return failf("warm-start: case %d: neighbor-seeded solve off by %.3g °C (> %.0e) from cold", c, worst, WarmNeighborTolC)
 		}
-		ctx.logf("warm-start: case %d: self-seed rel gap %.3g, neighbor-seed gap %.3g °C (cold %d iters, seeded %d)",
-			c, worstRel, worst, coldN.Iterations, warmN.Iterations)
+		secWorst, secIters, coldIters, err := checkSecantPasses(m, pmap)
+		if err != nil {
+			return failf("warm-start: case %d: %v", c, err)
+		}
+		if secWorst > WarmNeighborTolC {
+			return failf("warm-start: case %d: secant-seeded pass off by %.3g °C (> %.0e) from cold", c, secWorst, WarmNeighborTolC)
+		}
+		ctx.logf("warm-start: case %d: self-seed rel gap %.3g, neighbor-seed gap %.3g °C (cold %d iters, seeded %d), secant passes gap %.3g °C (%d iters, cold %d)",
+			c, worstRel, worst, coldN.Iterations, warmN.Iterations, secWorst, secIters, coldIters)
 	}
 	return nil
+}
+
+// checkSecantPasses runs five passes of a thermal.Sequence on m, each a
+// leakage-like update of pmap (power growing with a cell-dependent, pass-
+// dependent gain), and returns the worst per-node gap to cold solves of
+// the same maps, with both runs' total CG iterations.
+func checkSecantPasses(m *thermal.Model, pmap []float64) (worst float64, secIters, coldIters int, err error) {
+	seq := m.NewSequence()
+	defer seq.Release()
+	pass := make([]float64, len(pmap))
+	for k := 0; k < 5; k++ {
+		for i, p := range pmap {
+			pass[i] = p * (1 + 0.3*(1-math.Pow(0.5, float64(k)))*(1+0.2*math.Sin(float64((k+1)*i))))
+		}
+		got, err := seq.Solve(context.Background(), pass)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("secant pass %d: %w", k+1, err)
+		}
+		cold, err := m.Solve(pass)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("cold solve of secant pass %d: %w", k+1, err)
+		}
+		for i := range cold.T {
+			worst = math.Max(worst, math.Abs(got.T[i]-cold.T[i]))
+		}
+		secIters += got.Iterations
+		coldIters += cold.Iterations
+	}
+	return worst, secIters, coldIters, nil
 }

@@ -184,7 +184,7 @@ func Checks() []Check {
 		},
 		{
 			Name:        "differential/warm-start",
-			Description: "self- and neighbor-seeded solves, as the leakage loop runs them, converge to the cold fixed point",
+			Description: "self-, neighbor- and secant-seeded solves (the leakage loop runs the last) converge to the cold fixed point",
 			Run:         checkWarmStartFixpoint,
 		},
 		{

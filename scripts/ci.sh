@@ -25,10 +25,12 @@
 # field bit-identical to the sequential reference, under -race), the
 # org parallel-search
 # determinism gate (parallel multi-start ≡ serial bit-for-bit over a shared
-# engine, under -race), the warm-solve allocation budget (zero large
-# allocations per steady-state solve), and the multigrid CG-iteration gate
-# (the 64x64 production solve must stay within its committed iteration
-# budget — the machine-independent form of the cold-solve speedup claim).
+# engine, under -race), the warm-solve and leakage-loop allocation budgets
+# (zero large allocations per steady-state solve or simulation), the
+# multigrid CG-iteration gate (the 64x64 production solve must stay within
+# its committed iteration budget — the machine-independent form of the
+# cold-solve speedup claim), and the leakage-loop CG-iteration gate (the
+# same for the secant-seeded passes of two fixed simulations).
 #
 # The full verification tier (paper-scale grids, figure goldens) is not run
 # here; run it explicitly with `go test ./internal/verify -long` or
@@ -101,6 +103,10 @@ if [ -z "$short" ]; then
     go test -fuzz 'FuzzSolveRequestDecode' -fuzztime 3s -run '^$' ./internal/serve
     go test -fuzz 'FuzzSearchRequestDecode' -fuzztime 3s -run '^$' ./internal/serve
     go test -fuzz 'FuzzTCORequestDecode' -fuzztime 3s -run '^$' ./internal/serve
+    # Physics-layer target: valid but extreme leakage-loop inputs must give
+    # a clean error or an answer that conserves energy and matches plain
+    # warm-started passes.
+    go test -fuzz 'FuzzSimulate' -fuzztime 3s -run '^$' ./internal/power
 fi
 
 echo "==> chipletd daemon smoke (build binary, drive endpoints, SIGTERM drain)"
@@ -185,6 +191,12 @@ echo "==> thermal warm-solve allocation budget"
 # bounded at a few objects per op (Result header + pool boxing).
 go test -count 1 -run 'TestSolveWarmSteadyStateAllocBudget' ./internal/thermal
 
+echo "==> leakage-loop allocation budget"
+# A whole steady-state simulation must allocate less than one n-sized
+# vector: no leakage pass may allocate a field, a workspace or a secant
+# basis outside the model's pools.
+go test -count 1 -run 'TestSimulateSteadyStateAllocBudget' ./internal/power
+
 echo "==> multigrid CG-iteration gate"
 # The machine-independent half of the cold-solve speedup claim: the
 # multigrid-preconditioned production 64x64 solve must converge within its
@@ -193,5 +205,12 @@ echo "==> multigrid CG-iteration gate"
 # count is deterministic, so a regression here is a real preconditioner
 # regression.
 go test -count 1 -run 'TestMGIterationBudget64' ./internal/thermal
+
+echo "==> leakage-loop CG-iteration gate"
+# The machine-independent form of the secant-seeding claim: one fixed
+# grid-16 IC(0) and one fixed grid-64 multigrid simulation must stay within
+# committed CG-iteration budgets set below what plain previous-field warm
+# starts take on the same simulations.
+go test -count 1 -run 'TestSimulateCGIterationBudget' ./internal/power
 
 echo "==> ci.sh: all green"
