@@ -123,8 +123,9 @@ func RasterizeLayer(l Layer, g geom.Grid) []LayerProps {
 	vert := make([]float64, n)
 	lat := make([]float64, n)
 	hc := make([]float64, n)
+	frac := make([]float64, n)
 	for _, b := range l.Blocks {
-		frac := make([]float64, n)
+		clear(frac)
 		g.CoverageFraction(frac, b.Rect)
 		for i, f := range frac {
 			if f == 0 {

@@ -1,6 +1,7 @@
 package org
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -103,6 +104,11 @@ func (l *AuditLog) WithNotify(fn func(AuditEvent)) *AuditLog {
 func (l *AuditLog) Add(ev AuditEvent) {
 	if l == nil {
 		return
+	}
+	// A non-finite peak (an invalid placement, or a runaway leakage loop)
+	// has no JSON encoding; the event's other fields say which it was.
+	if math.IsInf(ev.PeakC, 0) || math.IsNaN(ev.PeakC) {
+		ev.PeakC = 0
 	}
 	now := time.Now()
 	l.mu.Lock()

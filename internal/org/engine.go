@@ -234,8 +234,11 @@ type EngineStats struct {
 	SpatialHits   int64 `json:"spatial_hits"`
 	CGIterations  int64 `json:"cg_iterations"`
 	// ModelReuses counts full simulations that reused a cached thermal
-	// model instead of reassembling it (see modelcache.go).
-	ModelReuses int64 `json:"model_reuses"`
+	// model instead of reassembling it; ModelEvictions counts retained
+	// models the cache dropped to make room for new ones (see
+	// modelcache.go).
+	ModelReuses    int64 `json:"model_reuses"`
+	ModelEvictions int64 `json:"model_evictions"`
 	// Calibrations counts completed spatial-surrogate calibrations;
 	// CalWorstErrC is the worst calibration error bound (°C) across them,
 	// 0 until the first calibration completes.
@@ -290,18 +293,19 @@ func (e *Engine) Stats() EngineStats {
 	scalar := e.surrogateEvals.Load()
 	spatial := e.spatialEvals.Load()
 	return EngineStats{
-		Hits:          e.hits.Load(),
-		Misses:        e.misses.Load(),
-		DedupWaits:    e.dedupWaits.Load(),
-		PeerHits:      e.peerHits.Load(),
-		ThermalSims:   e.thermalSims.Load(),
-		SurrogateHits: scalar + spatial,
-		ScalarHits:    scalar,
-		SpatialHits:   spatial,
-		CGIterations:  e.cgIterations.Load(),
-		ModelReuses:   e.modelReuses.Load(),
-		Calibrations:  e.calibrations.Load(),
-		CalWorstErrC:  math.Float64frombits(e.calWorstErrBits.Load()),
+		Hits:           e.hits.Load(),
+		Misses:         e.misses.Load(),
+		DedupWaits:     e.dedupWaits.Load(),
+		PeerHits:       e.peerHits.Load(),
+		ThermalSims:    e.thermalSims.Load(),
+		SurrogateHits:  scalar + spatial,
+		ScalarHits:     scalar,
+		SpatialHits:    spatial,
+		CGIterations:   e.cgIterations.Load(),
+		ModelReuses:    e.modelReuses.Load(),
+		ModelEvictions: e.models.evicted(),
+		Calibrations:   e.calibrations.Load(),
+		CalWorstErrC:   math.Float64frombits(e.calWorstErrBits.Load()),
 	}
 }
 
@@ -614,7 +618,9 @@ func (e *Engine) PeakC(ctx context.Context, b perf.Benchmark, pl floorplan.Place
 //     row measures 163/159/148 → 133/129/118 full simulations with
 //     identical winners. Behind the spatial tier it decides ~2
 //     evaluations per search and saves none.
-//  3. the full leakage-coupled simulation (memoized).
+//  3. the full leakage-coupled simulation (memoized). A simulation whose
+//     leakage loop runs away (power.RunawayError) evaluates to a peak of
+//     +Inf, infeasible at any threshold; runaways are not memoized.
 //
 // The returned value is a pure function of the arguments, the policy, and
 // the engine's physics — independent of evaluation order and concurrency.
@@ -661,10 +667,10 @@ func (e *Engine) PeakCPolicy(ctx context.Context, b perf.Benchmark, pl floorplan
 		var cst EvalStats
 		cref, err := e.sim(ctx, b, pl, power.FrequencySet[canonicalFIdx], p, ck, &cst, nil)
 		st.add(cst)
-		if err != nil {
+		if err != nil && !isRunaway(err) {
 			return 0, st, err
 		}
-		if cref.TotalPowerW > 0 {
+		if err == nil && cref.TotalPowerW > 0 {
 			rEff := (cref.PeakC - e.phys.Thermal.AmbientC) / cref.TotalPowerW
 			nocW, err := e.nocPower(b, pl, op, p, k)
 			if err != nil {
@@ -695,10 +701,20 @@ func (e *Engine) PeakCPolicy(ctx context.Context, b perf.Benchmark, pl floorplan
 	var sst EvalStats
 	rec, err := e.sim(ctx, b, pl, op, p, k, &sst, &esc)
 	st.add(sst)
+	if isRunaway(err) {
+		st.Reason = joinReason(st.Reason, "runaway")
+		return math.Inf(1), st, nil
+	}
 	if err != nil {
 		return 0, st, err
 	}
 	return rec.PeakC, st, nil
+}
+
+// isRunaway reports whether err is a diverged leakage loop.
+func isRunaway(err error) bool {
+	var runaway *power.RunawayError
+	return errors.As(err, &runaway)
 }
 
 // joinReason appends one escalation reason to a comma-joined chain.

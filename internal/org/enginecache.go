@@ -114,6 +114,7 @@ func (c *EngineCache) Stats() EngineStats {
 		out.SpatialHits += s.SpatialHits
 		out.CGIterations += s.CGIterations
 		out.ModelReuses += s.ModelReuses
+		out.ModelEvictions += s.ModelEvictions
 		out.Calibrations += s.Calibrations
 		if s.CalWorstErrC > out.CalWorstErrC {
 			out.CalWorstErrC = s.CalWorstErrC

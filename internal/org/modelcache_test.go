@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chiplet25d/internal/floorplan"
+	"chiplet25d/internal/thermal"
 )
 
 // testPlacement builds one valid 4-chiplet placement for engine-level tests.
@@ -18,7 +19,7 @@ func testPlacement(t testing.TB) floorplan.Placement {
 
 // TestModelCacheReuse pins the model cache's contract: same geometry key
 // returns the identical *thermal.Model, a different key assembles fresh,
-// and the ring evicts the oldest entry at capacity.
+// and a full cache evicts its least recently used entry.
 func TestModelCacheReuse(t *testing.T) {
 	cfg := fastConfig(t, "cholesky")
 	e, err := NewEngine(cfg)
@@ -68,5 +69,34 @@ func TestModelCacheReuse(t *testing.T) {
 	}
 	if m3 == m1 {
 		t.Fatal("evicted geometry returned the stale model pointer")
+	}
+}
+
+// TestModelCacheHitSurvivesLaterPuts pins least-recently-used eviction: a
+// model that keeps being hit stays resident through as many later puts of
+// one-off geometries as the cache has slots. A FIFO ring would drop it at
+// the capacity-th put whatever its hits.
+func TestModelCacheHitSurvivesLaterPuts(t *testing.T) {
+	c := newModelCache(defaultModelCache)
+	hot := plKey{n: 1}
+	hotModel := new(thermal.Model)
+	c.put(hot, hotModel)
+	for i := 1; i <= defaultModelCache; i++ {
+		if got := c.get(hot); got != hotModel {
+			t.Fatalf("before put %d: hot model not resident (got %p)", i, got)
+		}
+		c.put(plKey{n: 4, edge2: i}, new(thermal.Model))
+	}
+	if got := c.get(hot); got != hotModel {
+		t.Fatalf("hot model evicted by %d later puts", defaultModelCache)
+	}
+	if got := c.evicted(); got != 1 {
+		t.Errorf("evictions = %d, want 1 (the least recently used one-off geometry)", got)
+	}
+	if c.get(plKey{n: 4, edge2: 1}) != nil {
+		t.Error("least recently used geometry still resident")
+	}
+	if c.get(plKey{n: 4, edge2: 2}) == nil {
+		t.Error("second-oldest geometry evicted instead of the oldest")
 	}
 }

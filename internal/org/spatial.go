@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"chiplet25d/internal/floorplan"
@@ -211,7 +212,8 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 	// are merged in plan order, so the fit and the stats never depend on
 	// which goroutine ran what. Simulations above the lowest failed one are
 	// skipped; every one below it runs, so the ascending scan below returns
-	// the error the serial loop would have.
+	// the error the serial loop would have. A runaway (power.RunawayError)
+	// is no failure: it only leaves its class without a spatial model.
 	type doeOut struct {
 		smp  surrogate.Sample
 		peak float64
@@ -228,13 +230,13 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 		var rec SimRecord
 		o.smp, rec, o.err = e.runDoESim(ctx, b, points[i], &o.st)
 		o.peak = rec.PeakC
-		if o.err != nil {
+		if o.err != nil && !isRunaway(o.err) {
 			failedAt.stop(i)
 		}
 	})
 	sp.SetAttr("helpers", helpers)
 	for i := range outs {
-		if outs[i].err != nil {
+		if outs[i].err != nil && !isRunaway(outs[i].err) {
 			return nil, outs[i].err
 		}
 		st.add(outs[i].st)
@@ -245,12 +247,19 @@ func (e *Engine) calibrate(ctx context.Context, b perf.Benchmark, st *EvalStats)
 	off := 0
 	for _, class := range classes {
 		cpts := plan[class]
+		classOuts := outs[off : off+len(cpts)]
+		off += len(cpts)
+		// A class with a runaway DoE point has no training target there,
+		// so it gets no spatial model: its evaluations stay uncovered and
+		// fall through to the lower tiers.
+		if slices.ContainsFunc(classOuts, func(o doeOut) bool { return o.err != nil }) {
+			continue
+		}
 		samples := make([]surrogate.Sample, len(cpts))
 		peaks := make([]float64, len(cpts))
 		for i := range cpts {
-			samples[i], peaks[i] = outs[off+i].smp, outs[off+i].peak
+			samples[i], peaks[i] = classOuts[i].smp, classOuts[i].peak
 		}
-		off += len(cpts)
 		cal, err := surrogate.Fit(samples, spatialHoldoutEvery)
 		if err != nil {
 			return nil, fmt.Errorf("org: spatial calibration (%d chiplets): %w", class, err)

@@ -3,6 +3,7 @@ package org
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"chiplet25d/internal/floorplan"
@@ -283,5 +284,75 @@ func TestSpatialPredictZeroAllocWarm(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm spatial prediction allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestSearchUnderWeakCooling runs a search at a heat-transfer coefficient
+// weak enough that the leakage loop runs away at high power (h = 200
+// W/(m²·K) against the default 2800): the spatial DoE points of the 1- and
+// 4-chiplet classes include runaways, and so do many search points. A
+// runaway is an infeasible point, not a failed search: calibration keeps
+// the runaway classes out of the spatial model, a runaway evaluates to
+// +Inf, and the spatial search finds the optimum the full-fidelity search
+// finds.
+func TestSearchUnderWeakCooling(t *testing.T) {
+	spatial := fastConfig(t, "cholesky")
+	spatial.Thermal.HeatTransferCoeff = 200
+	spatial.ChipletCounts = []int{4}
+	spatial.Starts = 1
+	spatial.SpatialSurrogate = true
+	full := spatial
+	full.SpatialSurrogate = false
+	full.SurrogateMarginC = -1
+	ctx := context.Background()
+
+	eng, err := NewEngine(spatial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 4, 16} {
+		_, err := eng.SpatialCalibration(ctx, spatial.Benchmark, n)
+		if covered := err == nil; covered != (n == 16) {
+			t.Errorf("class %d: calibration error %v; want only the 16-chiplet class covered", n, err)
+		}
+	}
+	pl := floorplan.SingleChip()
+	hot := power.FrequencySet[0]
+	if _, _, err := eng.Simulate(ctx, spatial.Benchmark, pl, hot, 256); !isRunaway(err) {
+		t.Fatalf("full simulation at h = 200, %g MHz, 256 cores: err = %v, want a runaway", hot.FreqMHz, err)
+	}
+	peak, st, err := eng.PeakCPolicy(ctx, spatial.Benchmark, pl, hot, 256, spatial.evalPolicy())
+	if err != nil || !math.IsInf(peak, 1) {
+		t.Fatalf("runaway point evaluates to (%g, %v), want (+Inf, nil)", peak, err)
+	}
+	if !strings.Contains(st.Reason, "runaway") {
+		t.Errorf("runaway point's escalation reason %q does not name the runaway", st.Reason)
+	}
+
+	ss, err := NewSearcher(spatial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := ss.Optimize()
+	if err != nil {
+		t.Fatalf("spatial search under weak cooling: %v", err)
+	}
+	sf, err := NewSearcher(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := sf.Optimize()
+	if err != nil {
+		t.Fatalf("full-fidelity search under weak cooling: %v", err)
+	}
+	if !rs.Feasible || !rf.Feasible {
+		t.Fatalf("no feasible organization under weak cooling (spatial %v, full %v)", rs.Feasible, rf.Feasible)
+	}
+	if rs.Best.Op != rf.Best.Op || rs.Best.ActiveCores != rf.Best.ActiveCores ||
+		rs.Best.N != rf.Best.N || math.Abs(rs.Best.InterposerMM-rf.Best.InterposerMM) > 1e-9 {
+		t.Errorf("spatial tier changed the optimum under weak cooling: %+v vs %+v", rs.Best, rf.Best)
+	}
+	if !(rs.Best.PeakC <= spatial.ThresholdC) {
+		t.Errorf("best peak %g °C, want within the %g °C threshold", rs.Best.PeakC, spatial.ThresholdC)
 	}
 }

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,39 @@ import (
 	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/thermal"
 )
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// checkFuzzRunaway holds a RunawayError to its definition: either its last
+// pass left a non-finite temperature, or the loop took every pass with the
+// per-pass change still growing. In the second case the plain
+// warm-started loop must agree: it also takes every pass (or fails on the
+// non-finite power a runaway produces) and ends at the same peak to solver
+// tolerance.
+func checkFuzzRunaway(t *testing.T, c fuzzSimCase, m *thermal.Model, runaway *RunawayError, plain *SimResult, plainErr error) {
+	if !c.feedback {
+		t.Fatalf("%+v: runaway reported without leakage feedback: %v", c, runaway)
+	}
+	if !finite(runaway.PeakC) || !finite(runaway.DeltaC) {
+		return
+	}
+	if runaway.Passes != c.maxIter || !(runaway.DeltaC > runaway.PrevDeltaC) {
+		t.Fatalf("%+v: finite runaway %+v without all %d passes and a growing change", c, runaway, c.maxIter)
+	}
+	if plainErr != nil {
+		if !strings.HasPrefix(plainErr.Error(), "thermal: ") {
+			t.Fatalf("%+v: runaway %v, plain loop failed outside the thermal package: %v", c, runaway, plainErr)
+		}
+		return
+	}
+	if plain.Iterations != c.maxIter {
+		t.Fatalf("%+v: runaway %v, but the plain warm-started loop converged in %d passes", c, runaway, plain.Iterations)
+	}
+	rise := math.Max(plain.PeakC-m.Config().AmbientC, 1)
+	if d := math.Abs(runaway.PeakC - plain.PeakC); d > 1e-5*rise {
+		t.Fatalf("%+v: runaway peak %.9g °C, plain warm-started loop %.9g °C", c, runaway.PeakC, plain.PeakC)
+	}
+}
 
 // fuzzSimCase maps raw fuzz inputs onto a valid but extreme simulation:
 // grids 4 to 32, a heat-transfer coefficient from 1 to 1e6 W/(m²·K)
@@ -61,8 +95,10 @@ const fuzzBelowAmbientC = 1e-6
 
 // run builds the case's model and simulates it twice: through Simulate
 // (secant-seeded passes) and through plainSimulate (each pass warm-started
-// from the previous field alone).
-func (c fuzzSimCase) run(t *testing.T) (got, plain *SimResult, m *thermal.Model, err error) {
+// from the previous field alone). The plain loop also runs when Simulate
+// reports a runaway, so the oracle can confirm it; plainErr is its error
+// then.
+func (c fuzzSimCase) run(t *testing.T) (got, plain *SimResult, m *thermal.Model, err, plainErr error) {
 	pl := floorplan.SingleChip()
 	if c.r > 1 {
 		if pl, err = floorplan.UniformGrid(c.r, c.spacing); err != nil {
@@ -93,14 +129,15 @@ func (c fuzzSimCase) run(t *testing.T) (got, plain *SimResult, m *thermal.Model,
 	opts.MaxIterations = c.maxIter
 	opts.DisableLeakageFeedback = !c.feedback
 	got, err = Simulate(m, cores, w, opts)
-	if err != nil {
-		return nil, nil, m, err
+	var runaway *RunawayError
+	if err != nil && !errors.As(err, &runaway) {
+		return nil, nil, m, err, nil
 	}
-	plain, err = plainSimulate(m, cores, w, opts)
-	if err != nil {
-		t.Fatalf("%+v: Simulate answered but the plain loop failed: %v", c, err)
+	plain, plainErr = plainSimulate(m, cores, w, opts)
+	if err == nil && plainErr != nil {
+		t.Fatalf("%+v: Simulate answered but the plain loop failed: %v", c, plainErr)
 	}
-	return got, plain, m, nil
+	return got, plain, m, err, plainErr
 }
 
 // solverSlackW bounds the energy-balance error the CG stopping rule
@@ -120,14 +157,18 @@ func solverSlackW(m *thermal.Model, p float64) float64 {
 // that conserves energy, never dips below ambient, and agrees with the
 // plain warm-started loop to solver tolerance.
 func checkFuzzSim(t *testing.T, c fuzzSimCase) {
-	got, plain, m, err := c.run(t)
+	got, plain, m, err, plainErr := c.run(t)
+	var runaway *RunawayError
+	if errors.As(err, &runaway) {
+		checkFuzzRunaway(t, c, m, runaway, plain, plainErr)
+		return
+	}
 	if err != nil {
 		if !strings.HasPrefix(err.Error(), "power: ") && !strings.HasPrefix(err.Error(), "thermal: ") {
 			t.Fatalf("%+v: error outside the power/thermal packages: %v", c, err)
 		}
 		return
 	}
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	if !finite(got.PeakC) || !finite(got.TotalPowerW) {
 		t.Fatalf("%+v: non-finite answer: peak %v, power %v", c, got.PeakC, got.TotalPowerW)
 	}

@@ -3,6 +3,7 @@ package power
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/obs"
@@ -90,6 +91,29 @@ func (w Workload) ActiveCount() int {
 	return n
 }
 
+// RunawayError reports a leakage fixed point that diverged instead of
+// converging: leakage grows with temperature, so when the package cannot
+// shed the extra heat (a tiny heat-transfer coefficient, say) every pass
+// runs hotter than the last. SimulateCtx returns it when a pass leaves a
+// non-finite temperature, or when the loop exhausts MaxIterations with the
+// per-pass temperature change still growing. A loop that converges slowly
+// (shrinking changes) is not a runaway and keeps its answer.
+type RunawayError struct {
+	// Passes is the number of leakage passes run.
+	Passes int
+	// PeakC is the last pass's peak chip temperature (°C), possibly
+	// non-finite.
+	PeakC float64
+	// DeltaC is the last pass's largest per-core temperature change (°C);
+	// PrevDeltaC is the pass before's.
+	DeltaC, PrevDeltaC float64
+}
+
+func (e *RunawayError) Error() string {
+	return fmt.Sprintf("power: leakage loop diverged after %d passes (peak %.4g °C, per-pass change %.4g → %.4g °C)",
+		e.Passes, e.PeakC, e.PrevDeltaC, e.DeltaC)
+}
+
 // Simulate runs the coupled power/thermal fixed point on an assembled
 // thermal model: per-core leakage depends on the core's temperature, which
 // depends on the power map; the loop iterates until the temperature field
@@ -130,6 +154,9 @@ func SimulateCtx(ctx context.Context, m *thermal.Model, cores []floorplan.Core, 
 	var totalW float64
 	cgIters := 0
 	iter := 0
+	// maxDelta and prevDelta are the latest two passes' largest per-core
+	// temperature changes.
+	maxDelta, prevDelta := 0.0, 0.0
 	// One power-map buffer for the whole fixed point; together with the
 	// pooled solver scratch and the sequence (which recycles each
 	// superseded field), iterating the loop does no per-iteration large
@@ -160,15 +187,19 @@ func SimulateCtx(ctx context.Context, m *thermal.Model, cores []floorplan.Core, 
 			return nil, err
 		}
 		cgIters += res.Iterations
-		maxDelta := 0.0
-		for i, c := range cores {
+		prevDelta, maxDelta = maxDelta, 0
+		finite := isFinite(res.PeakC())
+		for _, c := range cores {
 			id := c.Row*floorplan.CoresPerEdge + c.Col
 			t := res.AvgOverRect(c.Rect)
 			if d := abs(t - temps[id]); d > maxDelta {
 				maxDelta = d
 			}
 			temps[id] = t
-			_ = i
+			finite = finite && isFinite(t)
+		}
+		if !finite {
+			return nil, runaway(res, iter, maxDelta, prevDelta)
 		}
 		if opts.DisableLeakageFeedback || maxDelta < opts.ConvergenceC {
 			break
@@ -176,6 +207,9 @@ func SimulateCtx(ctx context.Context, m *thermal.Model, cores []floorplan.Core, 
 	}
 	if iter > opts.MaxIterations {
 		iter = opts.MaxIterations
+		if iter > 1 && maxDelta > prevDelta {
+			return nil, runaway(res, iter, maxDelta, prevDelta)
+		}
 	}
 	loop.SetAttr("iterations", iter)
 	loop.SetAttr("cg_iterations", cgIters)
@@ -190,6 +224,16 @@ func SimulateCtx(ctx context.Context, m *thermal.Model, cores []floorplan.Core, 
 		Thermal:      res,
 	}, nil
 }
+
+// runaway builds the RunawayError for a diverged loop whose last pass is
+// res, handing that pass's field back to the model's pool.
+func runaway(res *thermal.Result, passes int, delta, prevDelta float64) error {
+	err := &RunawayError{Passes: passes, PeakC: res.PeakC(), DeltaC: delta, PrevDeltaC: prevDelta}
+	res.Recycle()
+	return err
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func abs(v float64) float64 {
 	if v < 0 {

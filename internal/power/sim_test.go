@@ -1,6 +1,7 @@
 package power
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -375,4 +376,51 @@ func TestSimulateSteadyStateAllocBudget(t *testing.T) {
 		t.Fatalf("a simulation allocated %.0f bytes, at least one %d-node vector (%.0f bytes)", perSim, m.NumNodes(), vector)
 	}
 	t.Logf("a simulation allocated %.0f bytes; one n-sized vector is %.0f", perSim, vector)
+}
+
+// TestSimulateRunawayIsError pins the divergence check. With h = 1
+// W/(m²·K) the package cannot shed 50 W cores: every leakage pass runs
+// hotter than the last and the loop used to return its twelfth pass (peak
+// ~9e48 °C) as an answer. It must report a RunawayError instead. A loop
+// that takes every pass but converges (shrinking changes, here 5 W cores
+// at 1 GHz on the single chip under the production h) keeps its answer.
+func TestSimulateRunawayIsError(t *testing.T) {
+	sim := func(h, coreW float64) (*SimResult, error) {
+		pl := floorplan.SingleChip()
+		stack, err := floorplan.BuildStack(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := thermal.DefaultConfig()
+		cfg.Nx, cfg.Ny = 32, 32
+		cfg.HeatTransferCoeff = h
+		m, err := thermal.NewModel(stack, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores, err := pl.Cores()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := Workload{RefCoreW: coreW, Op: FrequencySet[0], Active: allActive(t), NoCW: 3.9, Leakage: DefaultLeakage()}
+		return Simulate(m, cores, w, DefaultSimOptions())
+	}
+	res, err := sim(1, 50)
+	var runaway *RunawayError
+	if !errors.As(err, &runaway) {
+		t.Fatalf("h = 1, 50 W cores: got result %+v, error %v; want a RunawayError", res, err)
+	}
+	if runaway.Passes != DefaultSimOptions().MaxIterations || !(runaway.DeltaC > runaway.PrevDeltaC) {
+		t.Errorf("runaway %+v: want all %d passes with a growing change", runaway, DefaultSimOptions().MaxIterations)
+	}
+	t.Log(err)
+
+	res, err = sim(thermal.DefaultConfig().HeatTransferCoeff, 5)
+	if err != nil {
+		t.Fatalf("slowly converging loop: %v", err)
+	}
+	if res.Iterations != DefaultSimOptions().MaxIterations {
+		t.Errorf("slowly converging loop took %d passes, want all %d (the case must exercise the limit)",
+			res.Iterations, DefaultSimOptions().MaxIterations)
+	}
 }

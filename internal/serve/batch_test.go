@@ -496,6 +496,20 @@ func TestBatchClientDisconnect(t *testing.T) {
 	}
 }
 
+// waitPool polls until s's worker pool runs and queues exactly the given
+// numbers of tasks.
+func waitPool(t *testing.T, s *Server, running, queued int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for s.pool.Running() != running || s.pool.QueueDepth() != queued {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool at %d running, %d queued; waited a minute for %d, %d",
+				s.pool.Running(), s.pool.QueueDepth(), running, queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBatchShedsUnderFullQueue covers clean shedding: when outside load has
 // the admission queue full, batch items report per-item 503s instead of
 // failing the whole batch, and the server recovers once the load drains.
@@ -507,7 +521,10 @@ func TestBatchShedsUnderFullQueue(t *testing.T) {
 	})
 	h := s.Handler()
 
-	// Two slow solves occupy the worker and the single queue slot.
+	// Two slow solves occupy the worker and the single queue slot. Each is
+	// sent once the pool shows the previous one in place, rather than after
+	// a fixed sleep: the solves' length varies with the host's load and the
+	// build's speed.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -517,8 +534,8 @@ func TestBatchShedsUnderFullQueue(t *testing.T) {
 			body = strings.Replace(body, `"grid_n": 8`, `"grid_n": 64`, 1)
 			postJSON(t, h, "/v1/thermal/solve", body)
 		}(i)
+		waitPool(t, s, 1, i)
 	}
-	time.Sleep(100 * time.Millisecond)
 
 	batch := `{"parallelism": 2, "items": [
 	  {"solve": {"placement": {"chiplets": 4, "spacing_mm": 1.0}, "benchmark": "cholesky", "freq_mhz": 533, "cores": 96, "grid_n": 8}},
@@ -546,6 +563,7 @@ func TestBatchShedsUnderFullQueue(t *testing.T) {
 		t.Error("no batch item was shed with 503 despite a full queue")
 	}
 	wg.Wait()
+	waitPool(t, s, 0, 0)
 
 	// Load drained: the identical batch now completes fully.
 	rec = postJSON(t, h, "/v1/batch", batch)

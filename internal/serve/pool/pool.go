@@ -53,6 +53,13 @@ const lentOne = 1 << 32
 type Pool struct {
 	queue   chan *job
 	workers int
+	// admitted counts the tasks Do has let in and no worker has finished:
+	// queued, being dequeued, or running. Do admits while it is below
+	// capacity (workers + queueDepth). Testing for a full channel instead
+	// would count a task handed to an idle worker, but not yet dequeued by
+	// the worker's goroutine, against the queue slots.
+	admitted atomic.Int64
+	capacity int64
 	// state packs the tasks currently executing (low 32 bits) and the
 	// slots currently lent (high 32 bits) into one word, so TryLend
 	// checks and claims capacity in a single compare-and-swap.
@@ -65,43 +72,52 @@ type Pool struct {
 }
 
 // New starts a pool of workers with an admission queue of queueDepth
-// pending tasks (minimums of 1 apply to both).
+// pending tasks (minimums of 1 apply to both): it holds up to workers +
+// queueDepth tasks at once, at most workers of them running.
 func New(workers, queueDepth int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
-	p := &Pool{queue: make(chan *job, queueDepth), workers: workers}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	p := newPool(workers, queueDepth)
+	p.wg.Add(p.workers)
+	for i := 0; i < p.workers; i++ {
 		go p.worker()
 	}
 	return p
+}
+
+// newPool builds a pool without starting its workers.
+func newPool(workers, queueDepth int) *Pool {
+	workers, queueDepth = max(workers, 1), max(queueDepth, 1)
+	return &Pool{
+		queue:    make(chan *job, workers+queueDepth),
+		workers:  workers,
+		capacity: int64(workers + queueDepth),
+	}
 }
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for j := range p.queue {
 		// A task whose submitter already gave up is skipped, not run: its
-		// result channel is buffered so the send never blocks.
+		// result channel is buffered so the send never blocks. A task
+		// leaves admission before its result is sent, so a caller that
+		// submits again on receiving it finds the capacity free.
 		if err := j.ctx.Err(); err != nil {
+			p.admitted.Add(-1)
 			j.done <- result{err: err}
 			continue
 		}
 		p.state.Add(1)
 		v, err := j.fn(j.ctx)
 		p.state.Add(-1)
+		p.admitted.Add(-1)
 		j.done <- result{val: v, err: err}
 	}
 }
 
 // Do submits fn and waits for its result. Admission is non-blocking: when
-// the queue is full Do fails immediately with ErrQueueFull so the caller
-// can shed load (HTTP 503). While queued or running, ctx cancellation
-// unblocks the caller with ctx's error; the task itself receives ctx and is
-// expected to abort cooperatively.
+// every worker is taken and the queue is full, Do fails immediately with
+// ErrQueueFull so the caller can shed load (HTTP 503). While queued or
+// running, ctx cancellation unblocks the caller with ctx's error; the task
+// itself receives ctx and is expected to abort cooperatively.
 func (p *Pool) Do(ctx context.Context, fn Task) (any, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -117,17 +133,19 @@ func (p *Pool) Do(ctx context.Context, fn Task) (any, error) {
 			obs.Attr{Key: "queue_depth_at_submit", Value: depthAtSubmit})
 		return fn(c)
 	}
-	j := &job{ctx: ctx, fn: traced, done: make(chan result, 1)}
-	select {
-	case p.queue <- j:
-		p.mu.Unlock()
-	default:
+	if p.admitted.Load() >= p.capacity {
 		p.mu.Unlock()
 		// The request-scoped logger already carries the request ID.
 		obs.Logger(ctx).Warn("pool: admission queue full, shedding request",
 			"queue_depth", depthAtSubmit)
 		return nil, ErrQueueFull
 	}
+	// Admissions are serialized by mu and the channel holds capacity jobs,
+	// so this send never blocks.
+	j := &job{ctx: ctx, fn: traced, done: make(chan result, 1)}
+	p.admitted.Add(1)
+	p.queue <- j
+	p.mu.Unlock()
 	select {
 	case r := <-j.done:
 		return r.val, r.err

@@ -46,6 +46,46 @@ func TestQueueFull(t *testing.T) {
 	close(block)
 }
 
+// TestIdleWorkerAdmitsBeforeDequeue: a task handed to an idle worker
+// counts as running, not as a queue slot, even before the worker's
+// goroutine has dequeued it. The workers are started only after the
+// submissions, so every task is still in the channel when the next one
+// arrives: one worker and one queue slot admit two tasks, and shed a third.
+func TestIdleWorkerAdmitsBeforeDequeue(t *testing.T) {
+	p := newPool(1, 1)
+	var wg sync.WaitGroup
+	results := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := p.Do(context.Background(), func(ctx context.Context) (any, error) { return nil, nil })
+			results <- err
+		}()
+	}
+	for p.QueueDepth() < 2 {
+		select {
+		case err := <-results:
+			t.Fatalf("a task submitted to an idle worker and one free queue slot returned before the workers started: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if _, err := p.Do(context.Background(), func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third Do with one worker and one queue slot taken = %v, want ErrQueueFull", err)
+	}
+	p.wg.Add(1)
+	go p.worker()
+	wg.Wait()
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("admitted task failed: %v", err)
+		}
+	}
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCtxUnblocksWaiter: a caller whose context expires while its task is
 // queued gets the context error, and the skipped task never runs.
 func TestCtxUnblocksWaiter(t *testing.T) {

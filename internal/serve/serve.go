@@ -388,8 +388,11 @@ func New(opts Options) *Server {
 		"Evaluation engines resident in the fingerprint-keyed cache.",
 		func() float64 { return float64(s.engines.Len()) })
 	s.reg.GaugeFunc("chipletd_model_bytes",
-		"Bytes held by the assembled thermal models retained across resident engines' model rings.",
+		"Bytes held by the assembled thermal models retained across resident engines' model caches.",
 		func() float64 { return float64(s.engines.ModelBytes()) })
+	s.reg.CounterFunc("chipletd_model_evictions_total",
+		"Retained thermal models the resident engines' model caches dropped to make room for new ones.",
+		func() float64 { return float64(s.engines.Stats().ModelEvictions) })
 	// Scale-out telemetry: batch coalescing and the memo peer-fetch exchange
 	// (both directions — fetches this node issued, and memo lookups it served
 	// to peers), plus this node's rendezvous-ownership view.

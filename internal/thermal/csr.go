@@ -74,6 +74,54 @@ func (m *Model) assembleCSR(props [][]floorplan.LayerProps) *csrMatrix {
 	return &csrMatrix{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
+// buildCSR assembles an n-row CSR matrix into exactly sized arrays. gen
+// must emit every entry in row order (rows ascending, and within a row in
+// the order the entries are to be stored); it runs twice, a counting pass
+// that sizes the rows and a fill pass that writes them, and must emit the
+// same entries both times.
+func buildCSR(n int, gen func(emit func(row int, col int32, v float64))) *csrMatrix {
+	rowPtr := make([]int32, n+1)
+	gen(func(row int, _ int32, _ float64) { rowPtr[row+1]++ })
+	for r := 0; r < n; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	colIdx := make([]int32, rowPtr[n])
+	vals := make([]float64, rowPtr[n])
+	k := 0
+	gen(func(_ int, col int32, v float64) {
+		colIdx[k], vals[k] = col, v
+		k++
+	})
+	return &csrMatrix{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
+// transpose returns the nCols-row transpose of a, built by a counting sort
+// over a's columns: row j of the result lists a's entries in column j, in
+// ascending order of a's rows.
+func (a *csrMatrix) transpose(nCols int) *csrMatrix {
+	t := &csrMatrix{n: nCols, rowPtr: make([]int32, nCols+1)}
+	for _, c := range a.colIdx {
+		t.rowPtr[c+1]++
+	}
+	for j := 0; j < nCols; j++ {
+		t.rowPtr[j+1] += t.rowPtr[j]
+	}
+	t.colIdx = make([]int32, len(a.colIdx))
+	t.vals = make([]float64, len(a.vals))
+	off := make([]int32, nCols)
+	copy(off, t.rowPtr[:nCols])
+	for i := 0; i < a.n; i++ {
+		for e := a.rowPtr[i]; e < a.rowPtr[i+1]; e++ {
+			j := a.colIdx[e]
+			q := off[j]
+			off[j]++
+			t.colIdx[q] = int32(i)
+			t.vals[q] = a.vals[e]
+		}
+	}
+	return t
+}
+
 // bytes returns the capacity of the matrix's arrays in bytes.
 func (a *csrMatrix) bytes() int {
 	if a == nil {

@@ -2,8 +2,7 @@ package thermal
 
 import (
 	"math"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // Geometric multigrid preconditioner for the CG solve.
@@ -104,21 +103,13 @@ func (ic *icPreconditioner) precondApply(_ *workspace, z, r []float64) float64 {
 	return ic.apply(z, r)
 }
 
-// transferOp is one inter-grid transfer: the cell-centered bilinear
-// prolongation P stored as CSR over fine rows (ascending columns, at most
-// four entries per row), plus its counting-sorted transpose so restriction
-// (P') is a gather over coarse rows — no scattered writes in either
-// direction.
+// transferOp is one inter-grid transfer: the prolongation P stored as CSR
+// over fine rows (n is the fine row count; ascending coarse columns per
+// row). P is the only copy: prolongation gathers through its rows and
+// restriction (P') scatters through them, so no transpose is kept.
 type transferOp struct {
-	nFine, nCoarse int
-
-	rowPtr []int32
-	colIdx []int32
-	w      []float64
-
-	tPtr []int32
-	tIdx []int32
-	tW   []float64
+	*csrMatrix
+	nCoarse int
 }
 
 // axisWeights returns the 1D cell-centered bilinear weights for fine index
@@ -172,7 +163,7 @@ func zSplits(nLayer, nc int, diag []float64, mat *csrMatrix) []int {
 			}
 			ratios[c] = s
 		}
-		sort.Float64s(ratios)
+		slices.Sort(ratios)
 		if ratios[nc/2] < mgZSplitTol {
 			splits = append(splits, l)
 		}
@@ -267,43 +258,35 @@ func newZAggTransfer(nLayer, nx, ny int, splits []int, mat *csrMatrix) *transfer
 			alpha[k*nc+c] = ya[k]
 		}
 	}
-	nCoarseSheets := nKeep + 2
-	t := &transferOp{nFine: (nLayer + 2) * nc, nCoarse: nCoarseSheets * nc}
-	t.rowPtr = make([]int32, t.nFine+1)
-	t.colIdx = make([]int32, 0, t.nFine+4*nLayer*nc)
-	t.w = make([]float64, 0, t.nFine+4*nLayer*nc)
+	nFine := (nLayer + 2) * nc
 	sprBase := int32(nKeep * nc)
-	for i := 0; i < t.nFine; i++ {
-		sheet := i / nc
-		c := i % nc
-		switch {
-		case sheet < nLayer && nKeep == 1 && group[sheet] == 0:
-			t.colIdx = append(t.colIdx, int32(c))
-			t.w = append(t.w, 1)
-		case sheet < nLayer:
-			a := alpha[(sheet-s0)*nc+c]
-			if a != 0 {
-				t.colIdx = append(t.colIdx, int32(c))
-				t.w = append(t.w, a)
-			}
-			beta := 1 - a
-			fy, fx := c/nx, c%nx
-			cys, wys, nwy := axisWeights(fy+ny/2, ny)
-			cxs, wxs, nwx := axisWeights(fx+nx/2, nx)
-			for yi := 0; yi < nwy; yi++ {
-				for xi := 0; xi < nwx; xi++ {
-					t.colIdx = append(t.colIdx, sprBase+int32(cys[yi]*nx+cxs[xi]))
-					t.w = append(t.w, beta*wys[yi]*wxs[xi])
+	p := buildCSR(nFine, func(emit func(int, int32, float64)) {
+		for i := 0; i < nFine; i++ {
+			sheet := i / nc
+			c := i % nc
+			switch {
+			case sheet < nLayer && nKeep == 1 && group[sheet] == 0:
+				emit(i, int32(c), 1)
+			case sheet < nLayer:
+				a := alpha[(sheet-s0)*nc+c]
+				if a != 0 {
+					emit(i, int32(c), a)
 				}
+				beta := 1 - a
+				fy, fx := c/nx, c%nx
+				cys, wys, nwy := axisWeights(fy+ny/2, ny)
+				cxs, wxs, nwx := axisWeights(fx+nx/2, nx)
+				for yi := 0; yi < nwy; yi++ {
+					for xi := 0; xi < nwx; xi++ {
+						emit(i, sprBase+int32(cys[yi]*nx+cxs[xi]), beta*wys[yi]*wxs[xi])
+					}
+				}
+			default: // spreader, sink: pass through
+				emit(i, sprBase+int32(sheet-nLayer)*int32(nc)+int32(c), 1)
 			}
-		default: // spreader, sink: pass through
-			t.colIdx = append(t.colIdx, sprBase+int32(sheet-nLayer)*int32(nc)+int32(c))
-			t.w = append(t.w, 1)
 		}
-		t.rowPtr[i+1] = int32(len(t.colIdx))
-	}
-	t.buildTranspose()
-	return t
+	})
+	return &transferOp{csrMatrix: p, nCoarse: (nKeep + 2) * nc}
 }
 
 // newFoldTransfer folds fine sheets nSkip..nSkip+nFold-1 into fine sheet
@@ -323,38 +306,31 @@ func newZAggTransfer(nLayer, nx, ny int, splits []int, mat *csrMatrix) *transfer
 // of smearing the shifted links into wide stencils.
 func newFoldTransfer(nSkip, nFold, nSheets, nx, ny int) *transferOp {
 	nc := nx * ny
-	t := &transferOp{nFine: nSheets * nc, nCoarse: (nSheets - nFold) * nc}
-	t.rowPtr = make([]int32, t.nFine+1)
-	t.colIdx = make([]int32, 0, (4*nFold+nSheets-nFold)*nc)
-	t.w = make([]float64, 0, (4*nFold+nSheets-nFold)*nc)
-	for i := 0; i < nSkip*nc; i++ {
-		t.colIdx = append(t.colIdx, int32(i))
-		t.w = append(t.w, 1)
-		t.rowPtr[i+1] = int32(len(t.colIdx))
-	}
+	nFine := nSheets * nc
 	tgt := int32(nSkip * nc) // the fold target sheet's coarse base
-	for s := nSkip; s < nSkip+nFold; s++ {
-		for fy := 0; fy < ny; fy++ {
-			cys, wys, nwy := axisWeights(fy+ny/2, ny)
-			for fx := 0; fx < nx; fx++ {
-				cxs, wxs, nwx := axisWeights(fx+nx/2, nx)
-				for yi := 0; yi < nwy; yi++ {
-					for xi := 0; xi < nwx; xi++ {
-						t.colIdx = append(t.colIdx, tgt+int32(cys[yi]*nx+cxs[xi]))
-						t.w = append(t.w, wys[yi]*wxs[xi])
+	p := buildCSR(nFine, func(emit func(int, int32, float64)) {
+		for i := 0; i < nSkip*nc; i++ {
+			emit(i, int32(i), 1)
+		}
+		for s := nSkip; s < nSkip+nFold; s++ {
+			for fy := 0; fy < ny; fy++ {
+				cys, wys, nwy := axisWeights(fy+ny/2, ny)
+				for fx := 0; fx < nx; fx++ {
+					cxs, wxs, nwx := axisWeights(fx+nx/2, nx)
+					i := s*nc + fy*nx + fx
+					for yi := 0; yi < nwy; yi++ {
+						for xi := 0; xi < nwx; xi++ {
+							emit(i, tgt+int32(cys[yi]*nx+cxs[xi]), wys[yi]*wxs[xi])
+						}
 					}
 				}
-				t.rowPtr[s*nc+fy*nx+fx+1] = int32(len(t.colIdx))
 			}
 		}
-	}
-	for i := (nSkip + nFold) * nc; i < t.nFine; i++ {
-		t.colIdx = append(t.colIdx, int32(i-nFold*nc))
-		t.w = append(t.w, 1)
-		t.rowPtr[i+1] = int32(len(t.colIdx))
-	}
-	t.buildTranspose()
-	return t
+		for i := (nSkip + nFold) * nc; i < nFine; i++ {
+			emit(i, int32(i-nFold*nc), 1)
+		}
+	})
+	return &transferOp{csrMatrix: p, nCoarse: (nSheets - nFold) * nc}
 }
 
 // newTransferOp builds the prolongation from an nSheets-sheet stack of
@@ -365,60 +341,26 @@ func newFoldTransfer(nSkip, nFold, nSheets, nx, ny int) *transferOp {
 func newTransferOp(nSheets, fnx, fny int) *transferOp {
 	cnx, cny := fnx/2, fny/2
 	fnc, cnc := fnx*fny, cnx*cny
-	t := &transferOp{nFine: nSheets * fnc, nCoarse: nSheets * cnc}
-	t.rowPtr = make([]int32, t.nFine+1)
-	t.colIdx = make([]int32, 0, 4*t.nFine)
-	t.w = make([]float64, 0, 4*t.nFine)
-	for s := 0; s < nSheets; s++ {
-		cBase := int32(s * cnc)
-		for fy := 0; fy < fny; fy++ {
-			cys, wys, ny := axisWeights(fy, cny)
-			for fx := 0; fx < fnx; fx++ {
-				cxs, wxs, nx := axisWeights(fx, cnx)
-				for yi := 0; yi < ny; yi++ {
-					for xi := 0; xi < nx; xi++ {
-						t.colIdx = append(t.colIdx, cBase+int32(cys[yi]*cnx+cxs[xi]))
-						t.w = append(t.w, wys[yi]*wxs[xi])
+	p := buildCSR(nSheets*fnc, func(emit func(int, int32, float64)) {
+		for s := 0; s < nSheets; s++ {
+			cBase := int32(s * cnc)
+			for fy := 0; fy < fny; fy++ {
+				cys, wys, ny := axisWeights(fy, cny)
+				for fx := 0; fx < fnx; fx++ {
+					cxs, wxs, nx := axisWeights(fx, cnx)
+					i := s*fnc + fy*fnx + fx
+					for yi := 0; yi < ny; yi++ {
+						for xi := 0; xi < nx; xi++ {
+							emit(i, cBase+int32(cys[yi]*cnx+cxs[xi]), wys[yi]*wxs[xi])
+						}
 					}
 				}
-				t.rowPtr[s*fnc+fy*fnx+fx+1] = int32(len(t.colIdx))
 			}
 		}
-	}
-	t.buildTranspose()
-	return t
+	})
+	return &transferOp{csrMatrix: p, nCoarse: nSheets * cnc}
 }
 
-// buildTranspose counting-sorts the prolongation entries by coarse row so
-// restriction can gather.
-func (t *transferOp) buildTranspose() {
-	t.tPtr = make([]int32, t.nCoarse+1)
-	for _, c := range t.colIdx {
-		t.tPtr[c+1]++
-	}
-	for j := 0; j < t.nCoarse; j++ {
-		t.tPtr[j+1] += t.tPtr[j]
-	}
-	t.tIdx = make([]int32, len(t.colIdx))
-	t.tW = make([]float64, len(t.w))
-	off := make([]int32, t.nCoarse)
-	copy(off, t.tPtr[:t.nCoarse])
-	for i := 0; i < t.nFine; i++ {
-		for e := t.rowPtr[i]; e < t.rowPtr[i+1]; e++ {
-			j := t.colIdx[e]
-			q := off[j]
-			off[j]++
-			t.tIdx[q] = int32(i)
-			t.tW[q] = t.w[e]
-		}
-	}
-}
-
-// galerkinCoarse assembles Ac = P'·A·P row by row: for coarse row jc it
-// walks the fine rows restricting into jc (the transpose of P), scatters
-// each fine row of A through P into a dense accumulator, and compacts the
-// touched columns into the same split diag + off-diagonal CSR layout the
-// fine operator uses, so the coarse SpMV reuses the fine kernels unchanged.
 // composeTransfers returns the product transfer a then b: fine rows of a
 // mapped through b's coarsening, so two geometric coarsenings collapse into
 // a single level. The hierarchy uses it to fuse the vertical aggregation
@@ -427,48 +369,55 @@ func (t *transferOp) buildTranspose() {
 // combined coarse space does not already span (the line smoother leaves
 // laterally-smooth error, which survives a 2x lateral coarsening).
 func composeTransfers(a, b *transferOp) *transferOp {
-	t := &transferOp{nFine: a.nFine, nCoarse: b.nCoarse}
-	t.rowPtr = make([]int32, t.nFine+1)
 	mark := make([]int32, b.nCoarse)
-	for i := range mark {
-		mark[i] = -1
-	}
 	acc := make([]float64, b.nCoarse)
 	touched := make([]int32, 0, 16)
-	for i := 0; i < t.nFine; i++ {
-		touched = touched[:0]
-		for e := a.rowPtr[i]; e < a.rowPtr[i+1]; e++ {
-			k, wa := a.colIdx[e], a.w[e]
-			for f := b.rowPtr[k]; f < b.rowPtr[k+1]; f++ {
-				j := b.colIdx[f]
-				if mark[j] != int32(i) {
-					mark[j] = int32(i)
-					acc[j] = 0
-					touched = append(touched, j)
+	p := buildCSR(a.n, func(emit func(int, int32, float64)) {
+		for i := range mark { // buildCSR runs this twice
+			mark[i] = -1
+		}
+		for i := 0; i < a.n; i++ {
+			touched = touched[:0]
+			for e := a.rowPtr[i]; e < a.rowPtr[i+1]; e++ {
+				k, wa := a.colIdx[e], a.vals[e]
+				for f := b.rowPtr[k]; f < b.rowPtr[k+1]; f++ {
+					j := b.colIdx[f]
+					if mark[j] != int32(i) {
+						mark[j] = int32(i)
+						acc[j] = 0
+						touched = append(touched, j)
+					}
+					acc[j] += wa * b.vals[f]
 				}
-				acc[j] += wa * b.w[f]
+			}
+			slices.Sort(touched)
+			for _, j := range touched {
+				emit(i, j, acc[j])
 			}
 		}
-		sort.Slice(touched, func(p, q int) bool { return touched[p] < touched[q] })
-		for _, j := range touched {
-			t.colIdx = append(t.colIdx, j)
-			t.w = append(t.w, acc[j])
-		}
-		t.rowPtr[i+1] = int32(len(t.colIdx))
-	}
-	t.buildTranspose()
-	return t
+	})
+	return &transferOp{csrMatrix: p, nCoarse: b.nCoarse}
 }
 
-func galerkinCoarse(fDiag []float64, fMat *csrMatrix, t *transferOp) ([]float64, *csrMatrix) {
+// galerkinCoarse assembles Ac = P'·A·P row by row: for coarse row jc it
+// walks the fine rows restricting into jc (the rows of P', a transpose
+// built here and dropped with the other setup temporaries), scatters each
+// fine row of A through P into a dense accumulator, and compacts the
+// touched columns into the same split diag + off-diagonal CSR layout the
+// fine operator uses, so the coarse SpMV reuses the fine kernels unchanged.
+// The product is a setup temporary — truncateCSR copies what survives into
+// exactly sized arrays — so its entries are appended to the caller's
+// buffers cols and vals from their start, letting one pair of buffers
+// serve every level of a build.
+func galerkinCoarse(fDiag []float64, fMat *csrMatrix, t *transferOp, cols []int32, vals []float64) ([]float64, *csrMatrix) {
 	nc := t.nCoarse
+	pt := t.transpose(nc)
 	cDiag := make([]float64, nc)
 	rowPtr := make([]int32, nc+1)
-	var colIdx []int32
-	var vals []float64
+	colIdx, vals := cols[:0], vals[:0]
 	acc := make([]float64, nc)
 	touched := make([]bool, nc)
-	cols := make([]int32, 0, 64)
+	row := make([]int32, 0, 64)
 
 	scatter := func(k int32, scale float64) {
 		end := t.rowPtr[k+1]
@@ -476,25 +425,25 @@ func galerkinCoarse(fDiag []float64, fMat *csrMatrix, t *transferOp) ([]float64,
 			lc := t.colIdx[e]
 			if !touched[lc] {
 				touched[lc] = true
-				cols = append(cols, lc)
+				row = append(row, lc)
 			}
-			acc[lc] += scale * t.w[e]
+			acc[lc] += scale * t.vals[e]
 		}
 	}
 
 	for jc := 0; jc < nc; jc++ {
-		cols = cols[:0]
-		for q := t.tPtr[jc]; q < t.tPtr[jc+1]; q++ {
-			i := t.tIdx[q]
-			wi := t.tW[q]
+		row = row[:0]
+		for q := pt.rowPtr[jc]; q < pt.rowPtr[jc+1]; q++ {
+			i := pt.colIdx[q]
+			wi := pt.vals[q]
 			scatter(i, wi*fDiag[i])
 			end := fMat.rowPtr[i+1]
 			for idx := fMat.rowPtr[i]; idx < end; idx++ {
 				scatter(fMat.colIdx[idx], wi*fMat.vals[idx])
 			}
 		}
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
-		for _, lc := range cols {
+		slices.Sort(row)
+		for _, lc := range row {
 			if int(lc) == jc {
 				cDiag[jc] = acc[lc]
 			} else {
@@ -550,36 +499,42 @@ func symmetrizeCSR(mat *csrMatrix) {
 // operator stays comfortably positive definite, and the coarsest-level
 // Cholesky verifies that outright. Thresholds are taken against a snapshot
 // of the pre-compensation diagonal so the drop decision is symmetric.
-// diag is adjusted in place; the returned matrix replaces mat.
+// diag is adjusted in place; the returned matrix replaces mat and holds
+// exactly the kept entries.
 func truncateCSR(diag []float64, mat *csrMatrix, tol float64) *csrMatrix {
-	n := mat.n
-	ref := make([]float64, n)
-	copy(ref, diag)
-	rowPtr := make([]int32, n+1)
-	colIdx := make([]int32, 0, len(mat.colIdx))
-	vals := make([]float64, 0, len(mat.vals))
-	for i := 0; i < n; i++ {
-		end := mat.rowPtr[i+1]
-		for idx := mat.rowPtr[i]; idx < end; idx++ {
-			j := int(mat.colIdx[idx])
-			v := mat.vals[idx]
-			d := ref[i]
-			if ref[j] < d {
-				d = ref[j]
-			}
-			if math.Abs(v) <= tol*d {
-				if j > i { // compensate once per pair
-					diag[i] += v
-					diag[j] += v
-				}
-				continue
-			}
-			colIdx = append(colIdx, int32(j))
-			vals = append(vals, v)
+	ref := slices.Clone(diag)
+	drop := func(i, j int, v float64) bool {
+		d := ref[i]
+		if ref[j] < d {
+			d = ref[j]
 		}
-		rowPtr[i+1] = int32(len(colIdx))
+		return math.Abs(v) <= tol*d
 	}
-	return &csrMatrix{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+	// rows visits every entry with its drop decision, in row order.
+	rows := func(visit func(i, j int, v float64, dropped bool)) {
+		for i := 0; i < mat.n; i++ {
+			end := mat.rowPtr[i+1]
+			for idx := mat.rowPtr[i]; idx < end; idx++ {
+				j := int(mat.colIdx[idx])
+				v := mat.vals[idx]
+				visit(i, j, v, drop(i, j, v))
+			}
+		}
+	}
+	kept := buildCSR(mat.n, func(emit func(int, int32, float64)) {
+		rows(func(i, j int, v float64, dropped bool) {
+			if !dropped {
+				emit(i, int32(j), v)
+			}
+		})
+	})
+	rows(func(i, j int, v float64, dropped bool) {
+		if dropped && j > i { // compensate once per pair
+			diag[i] += v
+			diag[j] += v
+		}
+	})
+	return kept
 }
 
 // mgLevel is one grid of the hierarchy (excluding the coarsest, which is
@@ -629,25 +584,26 @@ type lineSmoother struct {
 	// multipliers (l >= 1) and dinvz the inverse LDL' pivots, both
 	// z-major.
 	mz, dinvz []float64
-	// lbz/ubz are the package rows of lb/ub in z-major order with
-	// pre-translated column indices; uez holds ub's package-to-spreader
-	// entries separately, indexed into the sheet-major iterate (only the
-	// backward sweep needs them — on the forward sweep from zero the
-	// spreader is a later block and still zero).
-	lbzPtr, lbzIdx []int32
-	lbzVal         []float64
-	ubzPtr, ubzIdx []int32
-	ubzVal         []float64
-	uezPtr, uezIdx []int32
-	uezVal         []float64
-	// lb and ub split the level's off-diagonal operator by block order:
-	// lb holds couplings to earlier blocks (package columns to the left,
-	// or rows below for the point blocks), ub to later ones. In-block
-	// vertical links are in neither — the LDL' solve owns them. The split
-	// is built once so the sweeps and the post-smoothing residual stream
-	// exactly the entries they need, with no per-entry block test and no
-	// gathers of known-zero values.
-	lb, ub *csrMatrix
+	// The level's off-diagonal operator is split by block order into
+	// couplings to earlier blocks (package columns to the left, or rows
+	// below for the point blocks) and to later ones. In-block vertical
+	// links are in neither — the LDL' solve owns them. The split is built
+	// once so the sweeps and the post-smoothing residual stream exactly the
+	// entries they need, with no per-entry block test and no gathers of
+	// known-zero values, and every entry is stored once:
+	//
+	//   - lbz and uz hold the package rows' earlier- and later-block
+	//     couplings in z-major rows (row c*nLayer+l). Their columns index
+	//     the extended z-major iterate: package node (l, c) at
+	//     c*nLayer+l, spreader and sink nodes at their own indices. uz
+	//     keeps each row's entries in ascending sheet-major column order —
+	//     the later package columns, then the spreader — and only the
+	//     backward sweep and the residual read it: on the forward sweep
+	//     from zero the later blocks are still zero;
+	//   - lb/ub hold the spreader and sink rows (row i-nPkg is node i),
+	//     split into the strict lower and upper triangles.
+	lbz, uz *csrMatrix
+	lb, ub  *csrMatrix
 }
 
 // csrAt returns A[i][j] from the off-diagonal CSR (0 when absent), by
@@ -672,7 +628,6 @@ func newLineSmoother(nLayer, nc int, diag []float64, mat *csrMatrix) *lineSmooth
 	ls := &lineSmoother{nLayer: nLayer, nc: nc, nPkg: nLayer * nc}
 	ls.mz = make([]float64, ls.nPkg)
 	ls.dinvz = make([]float64, ls.nPkg)
-	ls.lb, ls.ub = ls.splitBlocks(mat)
 	for c := 0; c < nc; c++ {
 		zi := c * nLayer
 		d := diag[c]
@@ -685,42 +640,58 @@ func newLineSmoother(nLayer, nc int, diag []float64, mat *csrMatrix) *lineSmooth
 			ls.dinvz[zi+l] = 1 / d
 		}
 	}
-	// Re-key the package rows of the split matrices into the z-major
-	// sweep streams.
-	ls.lbzPtr = make([]int32, ls.nPkg+1)
-	ls.ubzPtr = make([]int32, ls.nPkg+1)
-	ls.uezPtr = make([]int32, ls.nPkg+1)
-	for c := 0; c < nc; c++ {
-		for l := 0; l < nLayer; l++ {
-			i := l*nc + c
-			zi := c*nLayer + l
-			for idx := ls.lb.rowPtr[i]; idx < ls.lb.rowPtr[i+1]; idx++ {
-				j := int(ls.lb.colIdx[idx])
-				ls.lbzIdx = append(ls.lbzIdx, int32((j%nc)*nLayer+j/nc))
-				ls.lbzVal = append(ls.lbzVal, ls.lb.vals[idx])
-			}
-			for idx := ls.ub.rowPtr[i]; idx < ls.ub.rowPtr[i+1]; idx++ {
-				j := int(ls.ub.colIdx[idx])
-				if j < ls.nPkg {
-					ls.ubzIdx = append(ls.ubzIdx, int32((j%nc)*nLayer+j/nc))
-					ls.ubzVal = append(ls.ubzVal, ls.ub.vals[idx])
-				} else {
-					ls.uezIdx = append(ls.uezIdx, int32(j))
-					ls.uezVal = append(ls.uezVal, ls.ub.vals[idx])
+	// Split the package rows into the z-major sweep streams and the point
+	// rows into their triangles. A package node's block is its column
+	// index; spreader and sink rows follow as point blocks in row order.
+	// A package row's in-column vertical links (j == i±nc inside the
+	// package — lateral neighbors live on the same sheet and the spreader
+	// link uses the nesting map, so only a top-layer cell whose nested
+	// spreader index lands on its own column can collide, and that
+	// j >= nPkg entry belongs to the later blocks) go to no stream: the
+	// column's LDL' solve owns them.
+	nPkg := ls.nPkg
+	pkgRows := func(keep func(c, j int) bool) func(func(int, int32, float64)) {
+		return func(emit func(int, int32, float64)) {
+			for c := 0; c < nc; c++ {
+				for l := 0; l < nLayer; l++ {
+					i := l*nc + c
+					for idx := mat.rowPtr[i]; idx < mat.rowPtr[i+1]; idx++ {
+						j := int(mat.colIdx[idx])
+						if !keep(c, j) {
+							continue
+						}
+						if j < nPkg {
+							j = (j%nc)*nLayer + j/nc
+						}
+						emit(c*nLayer+l, int32(j), mat.vals[idx])
+					}
 				}
 			}
-			ls.lbzPtr[zi+1] = int32(len(ls.lbzIdx))
-			ls.ubzPtr[zi+1] = int32(len(ls.ubzIdx))
-			ls.uezPtr[zi+1] = int32(len(ls.uezIdx))
 		}
 	}
+	ls.lbz = buildCSR(nPkg, pkgRows(func(c, j int) bool { return j < nPkg && j%nc < c }))
+	ls.uz = buildCSR(nPkg, pkgRows(func(c, j int) bool { return j >= nPkg || j%nc > c }))
+	pointRows := func(lower bool) func(func(int, int32, float64)) {
+		return func(emit func(int, int32, float64)) {
+			for i := nPkg; i < mat.n; i++ {
+				for idx := mat.rowPtr[i]; idx < mat.rowPtr[i+1]; idx++ {
+					if j := mat.colIdx[idx]; (int(j) < i) == lower {
+						emit(i-nPkg, j, mat.vals[idx])
+					}
+				}
+			}
+		}
+	}
+	ls.lb = buildCSR(mat.n-nPkg, pointRows(true))
+	ls.ub = buildCSR(mat.n-nPkg, pointRows(false))
 	return ls
 }
 
 // packZ transposes the package part of a sheet-major vector into z-major
 // scratch; unpackZ is the inverse. Each is one strided pass over the
 // package — two orders of magnitude cheaper than letting every gather of
-// the column sweeps pay the stride instead.
+// the column sweeps pay the stride instead. The spreader and sink part
+// keeps its sheet-major layout: packZ leaves it to the caller.
 func (ls *lineSmoother) packZ(dst, src []float64) {
 	nLayer, nc := ls.nLayer, ls.nc
 	for l := 0; l < nLayer; l++ {
@@ -741,50 +712,6 @@ func (ls *lineSmoother) unpackZ(dst, src []float64) {
 	}
 }
 
-// splitBlocks partitions the off-diagonal operator into lb (couplings to
-// earlier blocks in the sweep order) and ub (later blocks). A package
-// node's block is its column index; spreader and sink rows follow as point
-// blocks in row order, so for them the split is the plain strict triangle.
-// A package row's in-column vertical links (j == i±nc inside the package —
-// lateral neighbors live on the same sheet and the spreader link uses the
-// nesting map, so only a top-layer cell whose nested spreader index lands
-// on its own column can collide, and that j >= nPkg entry belongs in ub)
-// go to neither side: the column's LDL' solve owns them.
-func (ls *lineSmoother) splitBlocks(mat *csrMatrix) (lb, ub *csrMatrix) {
-	n := mat.n
-	nc, nPkg := ls.nc, ls.nPkg
-	lb = &csrMatrix{n: n, rowPtr: make([]int32, n+1)}
-	ub = &csrMatrix{n: n, rowPtr: make([]int32, n+1)}
-	for i := 0; i < n; i++ {
-		end := mat.rowPtr[i+1]
-		for idx := mat.rowPtr[i]; idx < end; idx++ {
-			j := int(mat.colIdx[idx])
-			v := mat.vals[idx]
-			var side *csrMatrix
-			switch {
-			case i < nPkg && j < nPkg:
-				switch {
-				case j%nc < i%nc:
-					side = lb
-				case j%nc > i%nc:
-					side = ub
-				default:
-					continue // in-column vertical link
-				}
-			case j < i:
-				side = lb
-			default:
-				side = ub
-			}
-			side.colIdx = append(side.colIdx, int32(j))
-			side.vals = append(side.vals, v)
-		}
-		lb.rowPtr[i+1] = int32(len(lb.colIdx))
-		ub.rowPtr[i+1] = int32(len(ub.colIdx))
-	}
-	return lb, ub
-}
-
 // gatherRow accumulates −Σ a_ij·x_j over row i of one split matrix.
 func gatherRow(mat *csrMatrix, i int, x []float64) float64 {
 	s := 0.0
@@ -796,25 +723,23 @@ func gatherRow(mat *csrMatrix, i int, x []float64) float64 {
 }
 
 // sweepColumn solves column c's tridiagonal block exactly against the
-// z-major right-hand side and current iterate: gather, then the
-// precomputed LDL' substitutions. On the forward sweep from zero only the
-// earlier-column couplings (lbz) carry non-zeros; the backward sweep adds
-// the later columns (ubz) and the spreader entries (uez, sheet-major x).
-func (ls *lineSmoother) sweepColumn(c int, withUpper bool, xz, bz, x []float64) {
+// z-major right-hand side and current extended z-major iterate: gather,
+// then the precomputed LDL' substitutions. On the forward sweep from zero
+// only the earlier-column couplings (lbz) carry non-zeros; the backward
+// sweep adds the later blocks (uz).
+func (ls *lineSmoother) sweepColumn(c int, withUpper bool, xz, bz []float64) {
 	nLayer := ls.nLayer
 	zi := c * nLayer
 	var y [16]float64
+	lbz, uz := ls.lbz, ls.uz
 	for l := 0; l < nLayer; l++ {
 		s := bz[zi+l]
-		for e := ls.lbzPtr[zi+l]; e < ls.lbzPtr[zi+l+1]; e++ {
-			s -= ls.lbzVal[e] * xz[ls.lbzIdx[e]]
+		for e := lbz.rowPtr[zi+l]; e < lbz.rowPtr[zi+l+1]; e++ {
+			s -= lbz.vals[e] * xz[lbz.colIdx[e]]
 		}
 		if withUpper {
-			for e := ls.ubzPtr[zi+l]; e < ls.ubzPtr[zi+l+1]; e++ {
-				s -= ls.ubzVal[e] * xz[ls.ubzIdx[e]]
-			}
-			for e := ls.uezPtr[zi+l]; e < ls.uezPtr[zi+l+1]; e++ {
-				s -= ls.uezVal[e] * x[ls.uezIdx[e]]
+			for e := uz.rowPtr[zi+l]; e < uz.rowPtr[zi+l+1]; e++ {
+				s -= uz.vals[e] * xz[uz.colIdx[e]]
 			}
 		}
 		y[l] = s
@@ -837,17 +762,19 @@ func (ls *lineSmoother) sweepColumn(c int, withUpper bool, xz, bz, x []float64) 
 // scratch — no explicit zeroing needed, the gathers only touch columns the
 // sweep already wrote), then spreader and sink rows pointwise in ascending
 // row order. bz keeps the transposed right-hand side for the matching
-// backward sweep of the same cycle.
+// backward sweep of the same cycle, and xz ends as the extended z-major
+// copy of x the residual reads.
 func (ls *lineSmoother) forwardZero(pointDinv, bz, xz, x, b []float64) {
 	ls.packZ(bz, b)
 	for c := 0; c < ls.nc; c++ {
-		ls.sweepColumn(c, false, xz, bz, nil)
+		ls.sweepColumn(c, false, xz, bz)
 	}
 	ls.unpackZ(x, xz)
 	n := len(x)
 	for i := ls.nPkg; i < n; i++ {
-		x[i] = (b[i] + gatherRow(ls.lb, i, x)) * pointDinv[i]
+		x[i] = (b[i] + gatherRow(ls.lb, i-ls.nPkg, x)) * pointDinv[i]
 	}
+	copy(xz[ls.nPkg:], x[ls.nPkg:])
 }
 
 // backward runs the adjoint sweep — reversed block order, same exact block
@@ -856,22 +783,41 @@ func (ls *lineSmoother) forwardZero(pointDinv, bz, xz, x, b []float64) {
 func (ls *lineSmoother) backward(pointDinv, bz, xz, x, b []float64) {
 	n := len(x)
 	for i := n - 1; i >= ls.nPkg; i-- {
-		x[i] = (b[i] + gatherRow(ls.lb, i, x) + gatherRow(ls.ub, i, x)) * pointDinv[i]
+		x[i] = (b[i] + gatherRow(ls.lb, i-ls.nPkg, x) + gatherRow(ls.ub, i-ls.nPkg, x)) * pointDinv[i]
 	}
 	ls.packZ(xz, x)
+	copy(xz[ls.nPkg:], x[ls.nPkg:])
 	for c := ls.nc - 1; c >= 0; c-- {
-		ls.sweepColumn(c, true, xz, bz, x)
+		ls.sweepColumn(c, true, xz, bz)
 	}
 	ls.unpackZ(x, xz)
 }
 
 // blockUpperResidual computes the residual after forwardZero. Each block
 // is solved exactly against the earlier blocks' final values, so the
-// residual reduces to the later-block couplings alone: r = −ub·x, a plain
-// branch-free gather over the prebuilt split.
-func blockUpperResidual(ls *lineSmoother, r, x []float64) {
-	for i := range ls.ub.n {
-		r[i] = gatherRow(ls.ub, i, x)
+// residual reduces to the later-block couplings alone, a plain branch-free
+// gather over the prebuilt split: the package rows' uz rows over
+// forwardZero's extended z-major iterate xz (an exact copy of x), in
+// ascending sheet-major column order, then the point rows' ub rows over x.
+// The package rows are written sheet by sheet, so r is stored
+// sequentially rather than at the nx*ny power-of-two stride a column walk
+// would write.
+func blockUpperResidual(ls *lineSmoother, r, xz, x []float64) {
+	nLayer, nc := ls.nLayer, ls.nc
+	uz := ls.uz
+	for l := 0; l < nLayer; l++ {
+		sheet := r[l*nc : (l+1)*nc]
+		for c := range sheet {
+			zi := c*nLayer + l
+			s := 0.0
+			for e := uz.rowPtr[zi]; e < uz.rowPtr[zi+1]; e++ {
+				s -= uz.vals[e] * xz[uz.colIdx[e]]
+			}
+			sheet[c] = s
+		}
+	}
+	for k := range ls.ub.n {
+		r[ls.nPkg+k] = gatherRow(ls.ub, k, x)
 	}
 }
 
@@ -980,18 +926,19 @@ type mgScratch struct {
 	ax [][]float64
 	b  [][]float64
 	x  [][]float64
-	// z-major package scratch for the level-0 line smoother (nil when the
-	// stack has no line level).
+	// Level-0 line smoother scratch (nil when the stack has no line
+	// level): bz is the z-major package right-hand side, xz the extended
+	// z-major iterate (package z-major, then spreader and sink as is).
 	bz, xz []float64
 }
 
 // mgPreconditioner is the assembled hierarchy. It is immutable after
-// construction; concurrent solves share it and draw scratch from the pool,
-// so a steady-state apply allocates nothing.
+// construction; concurrent solves share it and each draws its V-cycle
+// scratch from its own pooled workspace, so a steady-state apply allocates
+// nothing.
 type mgPreconditioner struct {
-	levels  []mgLevel
-	coarse  *denseChol
-	scratch sync.Pool // *mgScratch
+	levels []mgLevel
+	coarse *denseChol
 }
 
 // newMultigrid builds the hierarchy for an nSheets-sheet stack on an
@@ -1004,14 +951,19 @@ func newMultigrid(nSheets, nx, ny int, diag []float64, mat *csrMatrix) *mgPrecon
 	}
 	mg := &mgPreconditioner{}
 	lv := mgLevel{n: nSheets * nx * ny, diag: diag, mat: mat}
+	// raw holds each level's untruncated Galerkin product. Its buffers
+	// start at the fine operator's size, which covers the products of the
+	// production stacks (the first, largest one holds ~60% of the fine
+	// operator's entries), and carry over from level to level.
+	raw := &csrMatrix{colIdx: make([]int32, 0, len(mat.colIdx)), vals: make([]float64, 0, len(mat.vals))}
 	addLevel := func(t *transferOp, tol float64) {
 		lv.down = t
 		finishLevel(&lv)
 		mg.levels = append(mg.levels, lv)
-		cDiag, cMat := galerkinCoarse(lv.diag, lv.mat, t)
-		symmetrizeCSR(cMat)
-		cMat = truncateCSR(cDiag, cMat, tol)
-		lv = mgLevel{n: t.nCoarse, diag: cDiag, mat: cMat}
+		var cDiag []float64
+		cDiag, raw = galerkinCoarse(lv.diag, lv.mat, t, raw.colIdx, raw.vals)
+		symmetrizeCSR(raw)
+		lv = mgLevel{n: t.nCoarse, diag: cDiag, mat: truncateCSR(cDiag, raw, tol)}
 	}
 	// First coarsening: collapse the package vertically in one transfer —
 	// the bottom layer block (independent across its weak interfaces) onto
@@ -1060,12 +1012,19 @@ func newMultigrid(nSheets, nx, ny int, diag []float64, mat *csrMatrix) *mgPrecon
 	if mg.coarse == nil {
 		return nil
 	}
+	mg.levels = append(make([]mgLevel, 0, len(mg.levels)), mg.levels...)
 	return mg
 }
 
-func (mg *mgPreconditioner) getScratch() *mgScratch {
-	if v := mg.scratch.Get(); v != nil {
-		return v.(*mgScratch)
+// scratchFor returns ws's V-cycle scratch, allocating it when ws has none
+// or holds one laid out for a hierarchy of other level sizes. Workspaces
+// are pooled by model shape (see scratchFor), and models of one shape
+// share a hierarchy layout unless their grids' aspect or their stacks'
+// vertical splits differ; every scratch vector is overwritten before it is
+// read, so which model left it there cannot change an answer.
+func (mg *mgPreconditioner) scratchFor(ws *workspace) *mgScratch {
+	if sc := ws.mg; sc != nil && mg.fits(sc) {
+		return sc
 	}
 	L := len(mg.levels)
 	sc := &mgScratch{
@@ -1080,14 +1039,33 @@ func (mg *mgPreconditioner) getScratch() *mgScratch {
 			sc.x[k] = make([]float64, mg.levels[k].n)
 		}
 	}
-	cn := mg.levels[L-1].down.nCoarse
-	sc.b[L] = make([]float64, cn)
-	sc.x[L] = make([]float64, cn)
+	sc.b[L] = make([]float64, mg.coarse.n)
+	sc.x[L] = make([]float64, mg.coarse.n)
 	if ls := mg.levels[0].line; ls != nil {
 		sc.bz = make([]float64, ls.nPkg)
-		sc.xz = make([]float64, ls.nPkg)
+		sc.xz = make([]float64, mg.levels[0].n)
 	}
+	ws.mg = sc
 	return sc
+}
+
+// fits reports whether sc's vectors have exactly the sizes mg's V-cycle
+// uses: the level sizes (each level's coarse side is the next level's
+// size) and the line smoother's package size.
+func (mg *mgPreconditioner) fits(sc *mgScratch) bool {
+	if len(sc.ax) != len(mg.levels) || len(sc.x[len(mg.levels)]) != mg.coarse.n {
+		return false
+	}
+	for k := range mg.levels {
+		if len(sc.ax[k]) != mg.levels[k].n {
+			return false
+		}
+	}
+	nPkg := 0
+	if ls := mg.levels[0].line; ls != nil {
+		nPkg = ls.nPkg
+	}
+	return len(sc.bz) == nPkg
 }
 
 // vcycle runs one V(1,1) cycle at level k, overwriting x with the cycle's
@@ -1102,7 +1080,7 @@ func (mg *mgPreconditioner) vcycle(k int, sc *mgScratch, x, b []float64) {
 	r := sc.ax[k]
 	if lv.line != nil {
 		lv.line.forwardZero(lv.dinv, sc.bz, sc.xz, x, b)
-		blockUpperResidual(lv.line, r, x)
+		blockUpperResidual(lv.line, r, sc.xz, x)
 	} else {
 		gsForwardZero(lv.dinv, lv.mat, x, b)
 		upperResidual(lv.mat, r, x)
@@ -1122,9 +1100,7 @@ func (mg *mgPreconditioner) vcycle(k int, sc *mgScratch, x, b []float64) {
 // product through the workspace's per-stripe slots, mirroring the IC(0)
 // apply contract.
 func (mg *mgPreconditioner) precondApply(ws *workspace, z, r []float64) float64 {
-	sc := mg.getScratch()
-	mg.vcycle(0, sc, z, r)
-	mg.scratch.Put(sc)
+	mg.vcycle(0, mg.scratchFor(ws), z, r)
 	dotStriped(r, z, ws.parts)
 	return reduceParts(ws.parts)
 }
@@ -1150,25 +1126,28 @@ func upperResidual(mat *csrMatrix, r, x []float64) {
 	}
 }
 
-// restrict computes the full-weighting restriction rc = P'·r, gathering
-// through the transpose arrays.
+// restrict computes the full-weighting restriction rc = P'·r by
+// scattering through P's rows in ascending fine-row order. Each coarse
+// entry therefore sums its fine contributions in ascending fine-row order,
+// starting from zero — the order a gather over P's counting-sorted
+// transpose would use, so no transpose needs to be kept.
 func restrict(t *transferOp, rc, r []float64) {
-	tPtr, tIdx, tW := t.tPtr, t.tIdx, t.tW
-	for j := range t.nCoarse {
-		s := 0.0
-		end := tPtr[j+1]
-		for q := tPtr[j]; q < end; q++ {
-			s += tW[q] * r[tIdx[q]]
+	rowPtr, colIdx, w := t.rowPtr, t.colIdx, t.vals
+	clear(rc[:t.nCoarse])
+	for i := range t.n {
+		ri := r[i]
+		end := rowPtr[i+1]
+		for idx := rowPtr[i]; idx < end; idx++ {
+			rc[colIdx[idx]] += w[idx] * ri
 		}
-		rc[j] = s
 	}
 }
 
 // prolongAdd adds the bilinear prolongation of the coarse correction,
 // x += P·e — a gather over fine rows.
 func prolongAdd(t *transferOp, x, e []float64) {
-	rowPtr, colIdx, w := t.rowPtr, t.colIdx, t.w
-	for i := range t.nFine {
+	rowPtr, colIdx, w := t.rowPtr, t.colIdx, t.vals
+	for i := range t.n {
 		s := 0.0
 		end := rowPtr[i+1]
 		for idx := rowPtr[i]; idx < end; idx++ {

@@ -118,10 +118,10 @@ func TestMGIterationBudget64(t *testing.T) {
 // that keeps the coarse correction consistent with the fine equations.
 func TestMGTransferRowSums(t *testing.T) {
 	tr := newTransferOp(3, 16, 8)
-	for i := 0; i < tr.nFine; i++ {
+	for i := 0; i < tr.n; i++ {
 		s := 0.0
 		for e := tr.rowPtr[i]; e < tr.rowPtr[i+1]; e++ {
-			s += tr.w[e]
+			s += tr.vals[e]
 		}
 		if math.Abs(s-1) > 1e-15 {
 			t.Fatalf("P row %d sums to %v, want 1", i, s)

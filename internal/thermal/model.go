@@ -130,7 +130,16 @@ type Model struct {
 // bases, so steady-state solves do no large allocations. All are safe for
 // concurrent solves.
 type scratch struct {
-	ws, x, seq sync.Pool
+	ws  freeList[*workspace]
+	x   freeList[[]float64]
+	seq freeList[*Sequence]
+}
+
+// age ages the scratch's free lists after a garbage collection.
+func (s *scratch) age() {
+	s.ws.age()
+	s.x.age()
+	s.seq.age()
 }
 
 // scratchByShape maps a model shape, [nNodes, nCells], to its scratch.
@@ -416,21 +425,10 @@ func (mg *mgPreconditioner) bytes() int {
 	return n
 }
 
-func (t *transferOp) bytes() int {
-	if t == nil {
-		return 0
-	}
-	return i32Bytes(t.rowPtr) + i32Bytes(t.colIdx) + f64Bytes(t.w) +
-		i32Bytes(t.tPtr) + i32Bytes(t.tIdx) + f64Bytes(t.tW)
-}
-
 func (ls *lineSmoother) bytes() int {
 	if ls == nil {
 		return 0
 	}
 	return f64Bytes(ls.mz) + f64Bytes(ls.dinvz) +
-		i32Bytes(ls.lbzPtr) + i32Bytes(ls.lbzIdx) + f64Bytes(ls.lbzVal) +
-		i32Bytes(ls.ubzPtr) + i32Bytes(ls.ubzIdx) + f64Bytes(ls.ubzVal) +
-		i32Bytes(ls.uezPtr) + i32Bytes(ls.uezIdx) + f64Bytes(ls.uezVal) +
-		ls.lb.bytes() + ls.ub.bytes()
+		ls.lbz.bytes() + ls.uz.bytes() + ls.lb.bytes() + ls.ub.bytes()
 }

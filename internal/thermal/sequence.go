@@ -41,6 +41,12 @@ const secantDropTol = 1e-6
 // function of the power maps it is fed. Sequences are pooled with the
 // model's other scratch: take one with NewSequence, Release it when the
 // loop ends. A Sequence must not be used concurrently.
+//
+// A sequence keeps its CG workspace and a spare field buffer across its
+// passes and through the pool: pass k solves into the buffer pass k−2
+// left, so a reused sequence takes one field from the model's pool per
+// loop, to replace the one the loop's result carried away, however many
+// passes it runs. Every buffer is overwritten before it is read.
 type Sequence struct {
 	m     *Model
 	prev  *Result                   // the latest pass; the next Solve supersedes it
@@ -49,11 +55,13 @@ type Sequence struct {
 	q     [maxSecantBasis][]float64 // orthonormal power increments (nCells)
 	w     [maxSecantBasis][]float64 // their field responses (nNodes)
 	rank  int                       // q[:rank], w[:rank] are in use
+	ws    *workspace                // CG scratch, taken on first use
+	spare []float64                 // a superseded pass's field (nNodes), or nil
 }
 
 // NewSequence takes a fresh sequence for the model from its scratch pool.
 func (m *Model) NewSequence() *Sequence {
-	if s, ok := m.scratch.seq.Get().(*Sequence); ok {
+	if s, ok := m.scratch.seq.get(); ok {
 		s.m = m
 		return s
 	}
@@ -70,26 +78,32 @@ func (m *Model) NewSequence() *Sequence {
 func (s *Sequence) Release() {
 	pool := &s.m.scratch.seq
 	s.m, s.prev, s.rank = nil, nil, 0
-	pool.Put(s)
+	pool.put(s)
 }
 
 // Solve runs the sequence's next pass for the given chip-layer power map
 // (watts per package-grid cell, length Nx*Ny). The first pass starts at
 // ambient; later passes start from the secant extrapolation of the earlier
-// ones. The pass supersedes the previous one: its Result goes back to the
-// model's scratch pool, so callers keep only the latest. ctx is checked as in
-// Model.SolveCtx.
+// ones. The pass supersedes the previous one: the sequence takes its
+// field back for a later pass, so callers keep only the latest Result.
+// ctx is checked as in Model.SolveCtx.
 func (s *Sequence) Solve(ctx context.Context, chipPower []float64) (*Result, error) {
 	m := s.m
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("thermal: solve abandoned before starting: %w", err)
 	}
-	ws := m.getWorkspace()
-	defer m.putWorkspace(ws)
+	if s.ws == nil {
+		s.ws = m.getWorkspace()
+	}
+	ws := s.ws
 	if err := m.chipRHS(ws.rhs, chipPower); err != nil {
 		return nil, err
 	}
-	x := m.getX()
+	x := s.spare
+	s.spare = nil
+	if x == nil {
+		x = m.getX()
+	}
 	kind := seedAmbient
 	if s.prev == nil {
 		m.fillAmbient(x)
@@ -111,7 +125,8 @@ func (s *Sequence) Solve(ctx context.Context, chipPower []float64) (*Result, err
 	s.extend(res.T)
 	copy(s.lastP, chipPower)
 	if s.prev != nil {
-		s.prev.Recycle()
+		s.spare = s.prev.T
+		s.prev.T, s.prev.model = nil, nil
 	}
 	s.prev = res
 	return res, nil

@@ -38,7 +38,7 @@ func (r *Result) Recycle() {
 	r.model = nil
 	r.T = nil
 	if len(t) == m.nNodes {
-		m.scratch.x.Put(&t)
+		m.scratch.x.put(t)
 	}
 }
 
@@ -166,12 +166,15 @@ type workspace struct {
 	r, z, p, ap []float64
 	rhs         []float64
 	parts       []float64
+	// mg is the multigrid V-cycle scratch (see mgPreconditioner.scratchFor),
+	// nil until a multigrid solve first uses the workspace.
+	mg *mgScratch
 }
 
 // getWorkspace fetches a pooled workspace (or allocates the first one).
 func (m *Model) getWorkspace() *workspace {
-	if v := m.scratch.ws.Get(); v != nil {
-		return v.(*workspace)
+	if ws, ok := m.scratch.ws.get(); ok {
+		return ws
 	}
 	n := m.nNodes
 	return &workspace{
@@ -182,12 +185,12 @@ func (m *Model) getWorkspace() *workspace {
 	}
 }
 
-func (m *Model) putWorkspace(ws *workspace) { m.scratch.ws.Put(ws) }
+func (m *Model) putWorkspace(ws *workspace) { m.scratch.ws.put(ws) }
 
 // getX fetches a solution vector from the pool fed by Result.Recycle.
 func (m *Model) getX() []float64 {
-	if v := m.scratch.x.Get(); v != nil {
-		return *(v.(*[]float64))
+	if x, ok := m.scratch.x.get(); ok {
+		return x
 	}
 	return make([]float64, m.nNodes)
 }
@@ -387,7 +390,7 @@ func (m *Model) runPCG(ctx context.Context, ws *workspace, x []float64, seedKind
 	sp.SetAttr("precond", m.precondName)
 	sp.End()
 	if err != nil {
-		m.scratch.x.Put(&x)
+		m.scratch.x.put(x)
 		return nil, err
 	}
 	return &Result{T: x, Iterations: st.iters, Residual: st.res, model: m}, nil

@@ -15,7 +15,9 @@
 package tsp
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"chiplet25d/internal/floorplan"
 	"chiplet25d/internal/power"
@@ -76,6 +78,8 @@ func SafePower(m *thermal.Model, cores []floorplan.Core, p int, thresholdC float
 	if err != nil {
 		return Budget{}, err
 	}
+	// peakAt reports a thermal runaway as an infinite peak: no threshold
+	// is safe at a power the package cannot shed.
 	peakAt := func(perCoreW float64) (float64, error) {
 		w := power.Workload{
 			RefCoreW: perCoreW,
@@ -84,6 +88,10 @@ func SafePower(m *thermal.Model, cores []floorplan.Core, p int, thresholdC float
 			Leakage:  opts.Leakage,
 		}
 		res, err := power.Simulate(m, cores, w, opts.Sim)
+		var runaway *power.RunawayError
+		if errors.As(err, &runaway) {
+			return math.Inf(1), nil
+		}
 		if err != nil {
 			return 0, err
 		}

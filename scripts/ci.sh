@@ -25,8 +25,9 @@
 # field bit-identical to the sequential reference, under -race), the
 # org parallel-search
 # determinism gate (parallel multi-start ≡ serial bit-for-bit over a shared
-# engine, under -race), the warm-solve and leakage-loop allocation budgets
-# (zero large allocations per steady-state solve or simulation), the
+# engine, under -race), the warm-solve, model-build and leakage-loop
+# allocation budgets (zero large allocations per steady-state solve or
+# simulation; a grid-64 build allocates at most twice what it keeps), the
 # multigrid CG-iteration gate (the 64x64 production solve must stay within
 # its committed iteration budget — the machine-independent form of the
 # cold-solve speedup claim), and the leakage-loop CG-iteration gate (the
@@ -190,6 +191,12 @@ echo "==> thermal warm-solve allocation budget"
 # Steady-state serving must not allocate vectors: a warm SolveWarm is
 # bounded at a few objects per op (Result header + pool boxing).
 go test -count 1 -run 'TestSolveWarmSteadyStateAllocBudget' ./internal/thermal
+
+echo "==> model-build allocation budget"
+# Assembling a grid-64 multigrid model must allocate at most twice what
+# the model retains (Model.Bytes()): build garbage is what lifts a serving
+# process's peak RSS above its live set.
+go test -count 1 -run 'TestNewModelAllocBudget' ./internal/thermal
 
 echo "==> leakage-loop allocation budget"
 # A whole steady-state simulation must allocate less than one n-sized
